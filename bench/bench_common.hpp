@@ -91,11 +91,10 @@ void set_progress_interval(double seconds);
 /// progress interval): 1 = sequential, 0 = one per hardware thread. Set
 /// by TelemetryCli's --threads. Bench drivers parallelize at *cell*
 /// granularity — whole (benchmark, strategy) flows sharded across
-/// workers via for_each_cell — because a flow's wall time is dominated
-/// by word-parallel simulation, not sweeping; each flow keeps the
-/// sequential sweep engine inside, so every FlowMetrics value (and thus
-/// every table row and BENCH json count) is byte-identical to a
-/// single-thread run. Only the wall-clock fields see scheduling noise.
+/// workers via for_each_cell; each flow runs the one sequential sweep
+/// engine inside, so every FlowMetrics value (and thus every table row
+/// and BENCH json count) is byte-identical to a single-thread run. Only
+/// the wall-clock fields see scheduling noise.
 void set_num_threads(unsigned num_threads);
 [[nodiscard]] unsigned num_threads();
 
@@ -145,12 +144,16 @@ bool write_flow_metrics_json(const FlowMetrics& metrics);
 
 /// Shared telemetry command-line handling for the bench drivers: the
 /// generic obs::TelemetryCli flags (--trace-out, --metrics-out,
-/// --journal-out, --progress, --timeout; see obs/telemetry_cli.hpp) plus
-/// the bench-specific
+/// --journal-out, --progress, --timeout, --no-inprocess; see
+/// obs/telemetry_cli.hpp) plus the bench-specific
 ///   --bench-json-dir DIR   per-run BENCH_*.json output directory
+///   --threads N            for_each_cell workers (1 = sequential, the
+///                          default; 0 = one per hardware thread); an
+///                          integer outside [0, 1024] exits 2
 /// (SIMGEN_BENCH_JSON_DIR in the environment also sets the JSON dir.)
 /// --progress is forwarded into set_progress_interval and --threads into
-/// set_num_threads so every run_strategy_flow sweep picks them up. A driver needs only
+/// set_num_threads so every run_strategy_flow and for_each_cell picks
+/// them up. A driver needs only
 ///   int main(int argc, char** argv) { bench::TelemetryCli telemetry(argc, argv); ... }
 class TelemetryCli {
  public:

@@ -8,9 +8,6 @@
 ///
 /// Options:
 ///   --certify            DRAT-certify every UNSAT verdict
-///   --threads N          sweep worker threads (1 = sequential engine,
-///                        0 = one per hardware thread; results are
-///                        deterministic for any N)
 ///   --output-conflict-limit N
 ///                        conflict budget per final output proof
 ///                        (0 = unlimited, the default); a proof that
@@ -28,12 +25,14 @@
 ///                        resolved, SAT calls, ETA) on this interval
 ///   --timeout SECONDS    watchdog deadline: dump state, flush all
 ///                        telemetry outputs, exit 124
+///   --no-inprocess       disable the SAT solver's inprocessing passes
 ///
 /// All telemetry outputs are flushed on SIGINT/SIGTERM and via atexit, so
 /// an interrupted run still leaves valid, parseable files behind.
 ///
 /// Exit codes: 0 = checked (equivalent or a verified counterexample),
-/// 1 = error, 2 = undecided (an output proof hit the conflict budget).
+/// 1 = error, 2 = undecided (an output proof hit the conflict budget) or
+/// a usage error (unknown option, missing or malformed value).
 ///
 /// Accepts BLIF (.blif), BENCH (.bench), and AIGER (.aig/.aag; mapped to
 /// 6-LUTs before checking), or the name of a seed benchmark — the latter
@@ -43,6 +42,7 @@
 /// before it is trusted. Without arguments it demonstrates both a passing
 /// check (a circuit against its re-synthesized self) and a failing one
 /// (against a mutated copy), printing the counterexample.
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -54,6 +54,17 @@
 using namespace simgen;
 
 namespace {
+
+int usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [--certify] [--output-conflict-limit N]"
+               " [golden revised | benchmark]\n"
+               "       (plus the telemetry flags --trace-out, --metrics-out,"
+               " --journal-out,\n"
+               "        --progress, --timeout, --no-inprocess)\n",
+               argv0);
+  return 2;
+}
 
 net::Network load_network(const std::string& path) {
   const auto ends_with = [&](const char* suffix) {
@@ -206,15 +217,32 @@ int main(int argc, char** argv) {
   sweep::CecOptions options;
   options.guided_strategy = core::Strategy::kAiDcMffc;
   options.sweep.progress_interval = telemetry.progress_interval();
-  options.num_threads = telemetry.num_threads();
   options.sweep.inprocess = telemetry.inprocess();
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--certify") == 0) {
       options.certify = true;
-    } else if (std::strcmp(argv[i], "--output-conflict-limit") == 0 &&
-               i + 1 < argc) {
-      options.sweep.output_proof_conflict_limit =
-          std::strtoull(argv[++i], nullptr, 10);
+    } else if (std::strcmp(argv[i], "--output-conflict-limit") == 0) {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "error: missing value for %s\n", argv[i]);
+        return usage(argv[0]);
+      }
+      // strtoull alone would wrap "-5" to 2^64-5 and read "abc" as 0
+      // (unlimited); demand a plain non-negative decimal.
+      const char* number = argv[++i];
+      char* end = nullptr;
+      errno = 0;
+      const unsigned long long value = std::strtoull(number, &end, 10);
+      if (*number < '0' || *number > '9' || *end != '\0' || errno == ERANGE) {
+        std::fprintf(stderr,
+                     "error: --output-conflict-limit expects a non-negative "
+                     "integer (0 = unlimited), got '%s'\n",
+                     number);
+        return usage(argv[0]);
+      }
+      options.sweep.output_proof_conflict_limit = value;
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      std::fprintf(stderr, "error: unknown option '%s'\n", argv[i]);
+      return usage(argv[0]);
     } else {
       args.emplace_back(argv[i]);
     }

@@ -521,7 +521,9 @@ bool check_journal(const std::vector<JournalEvent>& events, std::string* error) 
       *error = "event " + std::to_string(index) + ": " + message;
     return false;
   };
-  std::vector<std::uint8_t> phase_stack;
+  // Phase brackets nest per thread (a = thread ordinal): concurrent bench
+  // cells interleave their brackets in one journal.
+  std::map<std::uint64_t, std::vector<std::uint8_t>> phase_stacks;
   bool run_begun = false;
   for (std::size_t i = 0; i < events.size(); ++i) {
     const JournalEvent& event = events[i];
@@ -539,10 +541,11 @@ bool check_journal(const std::vector<JournalEvent>& events, std::string* error) 
         break;
       case EventKind::kPhaseBegin:
         if (event.code >= kNumPhases) return fail(i, "phase id out of range");
-        phase_stack.push_back(event.code);
+        phase_stacks[event.a].push_back(event.code);
         break;
-      case EventKind::kPhaseEnd:
+      case EventKind::kPhaseEnd: {
         if (event.code >= kNumPhases) return fail(i, "phase id out of range");
+        std::vector<std::uint8_t>& phase_stack = phase_stacks[event.a];
         if (phase_stack.empty())
           return fail(i, "phase_end without matching phase_begin");
         if (phase_stack.back() != event.code)
@@ -552,6 +555,7 @@ bool check_journal(const std::vector<JournalEvent>& events, std::string* error) 
                              phase_name(static_cast<PhaseId>(phase_stack.back())));
         phase_stack.pop_back();
         break;
+      }
       case EventKind::kClassCreated:
         if (event.code >= kNumPatternSources)
           return fail(i, "pattern source out of range");

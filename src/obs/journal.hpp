@@ -44,8 +44,9 @@ enum class EventKind : std::uint8_t {
   kRunEnd = 2,        ///< code=outcome (0 not-eq, 1 eq, 2 undecided),
                       ///< v0=outputs proven, v1=unresolved outputs
                       ///< (nonzero only for outcome 2).
-  kPhaseBegin = 3,    ///< code=PhaseId.
-  kPhaseEnd = 4,      ///< code=PhaseId, v0=cost after, v1=classes live, dur_us.
+  kPhaseBegin = 3,    ///< code=PhaseId, a=thread ordinal.
+  kPhaseEnd = 4,      ///< code=PhaseId, a=thread ordinal, v0=cost after,
+                      ///< v1=classes live, dur_us.
   kClassCreated = 5,  ///< a=representative, code=PatternSource, v0=size.
   kClassSplit = 6,    ///< a=parent rep, code=PatternSource, v0=surviving
                       ///< buckets, v1=parent size.
@@ -67,11 +68,13 @@ enum class EventKind : std::uint8_t {
                       ///< dur_us=elapsed in sweep (saturating).
   kWatchdog = 12,     ///< code=1 signal / 2 timeout, a=signal number.
   kTaskRun = 13,      ///< One pool task: a=task index within the batch,
-                      ///< b=worker index, code=task kind (0 sweep pair,
-                      ///< 1 output proof, 2 bench cell), v0=round/batch
-                      ///< sequence, v1=payload id (e.g. representative
-                      ///< node), dur_us=task wall time. The lane timeline
-                      ///< in sweep_inspect is built from these.
+                      ///< b=worker index, code=task kind (2 bench cell;
+                      ///< 0 sweep pair and 1 output proof appear only in
+                      ///< journals from the removed parallel sweeper and
+                      ///< still replay), v0=round/batch sequence,
+                      ///< v1=payload id (the cell index), dur_us=task
+                      ///< wall time. The lane timeline in sweep_inspect
+                      ///< is built from these.
   kWorkerStats = 14,  ///< Per-worker scheduler rollup at pool teardown:
                       ///< a=worker index, b=tasks run, v0=steal attempts,
                       ///< v1=steal successes, v2=busy us, v3=idle us,
@@ -271,6 +274,16 @@ inline void journal_emit(EventKind kind, std::uint8_t code, std::uint64_t a,
   Journal::instance().emit(event);
 }
 
+/// Small per-process ordinal of the calling thread (the first thread to
+/// ask gets 0). Phase events carry it so that brackets from concurrent
+/// bench cells, which interleave in one journal, still nest per thread.
+[[nodiscard]] inline std::uint64_t journal_thread_ordinal() noexcept {
+  static std::atomic<std::uint64_t> next{0};
+  thread_local const std::uint64_t ordinal =
+      next.fetch_add(1, std::memory_order_relaxed);
+  return ordinal;
+}
+
 /// RAII phase bracket: emits kPhaseBegin at construction and kPhaseEnd
 /// (with duration and an optional cost/classes-live result) at scope
 /// exit. Free when the journal is closed or compiled out.
@@ -281,13 +294,14 @@ class PhaseScope {
     active_ = true;
     phase_ = phase;
     start_ns_ = Journal::instance().now_ns();
-    journal_emit(EventKind::kPhaseBegin, static_cast<std::uint8_t>(phase), 0);
+    journal_emit(EventKind::kPhaseBegin, static_cast<std::uint8_t>(phase),
+                 journal_thread_ordinal());
   }
   ~PhaseScope() {
     if (!active_) return;
     const std::uint64_t end_ns = Journal::instance().now_ns();
-    journal_emit(EventKind::kPhaseEnd, static_cast<std::uint8_t>(phase_), 0, 0,
-                 v0_, v1_, 0, 0,
+    journal_emit(EventKind::kPhaseEnd, static_cast<std::uint8_t>(phase_),
+                 journal_thread_ordinal(), 0, v0_, v1_, 0, 0,
                  saturate_us(static_cast<double>(end_ns - start_ns_) * 1e-9));
   }
   PhaseScope(const PhaseScope&) = delete;

@@ -7,9 +7,9 @@
 /// decision counts — as first-class, exportable instruments instead of
 /// ad-hoc per-module structs. Design constraints:
 ///
-///  * Counter increments are a single relaxed atomic 64-bit add — the
-///    parallel sweep engine bumps shared registry counters from worker
-///    threads, and relaxed ordering keeps the hot path one lock-free
+///  * Counter increments are a single relaxed atomic 64-bit add — bench
+///    cells sharded across worker threads bump shared registry counters
+///    concurrently, and relaxed ordering keeps the hot path one lock-free
 ///    instruction (registration, retirement and export are mutex-guarded
 ///    cold paths). Histograms stay non-atomic: every histogram lives in a
 ///    per-instance stats struct (one solver, one generator) that is only

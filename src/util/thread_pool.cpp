@@ -279,7 +279,7 @@ struct ThreadPool::Impl {
           fn = batch_fn;
         }
         // No pool or queue lock is held across the task invocation: a
-        // task is free to block (SAT calls run for seconds) or to submit
+        // task is free to block (a bench cell runs for seconds) or to submit
         // telemetry that takes unrelated locks, without stalling stealing
         // or the other workers. -Wthread-safety verifies this: fn is a
         // local copy, and every guarded access below reacquires `mutex`.

@@ -1,18 +1,18 @@
 /// \file thread_pool.hpp
-/// \brief Work-stealing thread pool for the parallel sweep engine.
+/// \brief Work-stealing thread pool for independent bench cells.
 ///
-/// The sweeping flow produces batches of independent proof obligations
-/// (one candidate pair, one fanin cone, one solver each); this pool runs
-/// such a batch across a fixed set of worker threads and blocks the
-/// caller until every task finished. Design constraints:
+/// bench::for_each_cell hands it a batch of independent tasks (one whole
+/// (benchmark, strategy) flow each); the pool runs the batch across a
+/// fixed set of worker threads and blocks the caller until every task
+/// finished. Design constraints:
 ///
 ///  * Deterministic task identity: tasks are indices [0, n). The pool
 ///    guarantees nothing about *which* worker runs a task or in what
 ///    order — parallel callers must make each task a pure function of its
 ///    index and reduce the results in index order afterwards.
 ///  * Work stealing with per-worker deques guarded by plain mutexes. The
-///    tasks this pool exists for are SAT calls (microseconds to seconds),
-///    so queue overhead is noise; plain locks keep the pool trivially
+///    tasks this pool exists for run for milliseconds to seconds, so
+///    queue overhead is noise; plain locks keep the pool trivially
 ///    ThreadSanitizer-clean.
 ///  * Exceptions propagate: if tasks throw, run_tasks rethrows the one
 ///    with the lowest task index on the calling thread, after all workers

@@ -303,6 +303,31 @@ TEST(JournalCheck, RejectsStructuralViolations) {
   EXPECT_FALSE(obs::check_journal(bad_verdict, &error));
 }
 
+TEST(JournalCheck, PhaseBracketsNestPerThread) {
+  // Concurrent bench cells interleave their phase brackets in one
+  // journal; each thread's brackets (keyed by the thread ordinal in a)
+  // must nest on their own, and a mismatch within one thread still fails.
+  const auto phase = [](EventKind kind, PhaseId id, std::uint64_t thread) {
+    JournalEvent event;
+    event.kind = kind;
+    event.code = static_cast<std::uint8_t>(id);
+    event.a = thread;
+    return event;
+  };
+  std::vector<JournalEvent> events = {
+      phase(EventKind::kPhaseBegin, PhaseId::kSweep, 0),
+      phase(EventKind::kPhaseBegin, PhaseId::kGuidedSim, 1),
+      phase(EventKind::kPhaseEnd, PhaseId::kSweep, 0),
+      phase(EventKind::kPhaseEnd, PhaseId::kGuidedSim, 1)};
+  std::string error;
+  EXPECT_TRUE(obs::check_journal(events, &error)) << error;
+
+  for (JournalEvent& event : events) event.a = 0;
+  EXPECT_FALSE(obs::check_journal(events, &error));
+  EXPECT_NE(error.find("does not match open phase"), std::string::npos)
+      << error;
+}
+
 TEST(JournalCheck, RejectsUnattributedClassSplit) {
   // The attribution cross-check: every split must name the pattern
   // source that caused it. kNone means refine() ran outside a
