@@ -3,8 +3,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <system_error>
 
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
@@ -160,6 +162,18 @@ TelemetryCli::TelemetryCli(int& argc, char** argv) : cli_(argc, argv) {
     argv[out++] = argv[i];
   }
   argc = out;
+  // Create the BENCH json directory up front: a missing directory would
+  // otherwise fail every write of the run.
+  if (const std::string& dir = bench_json_dir(); !dir.empty()) {
+    std::error_code error;
+    std::filesystem::create_directories(dir, error);
+    if (error || !std::filesystem::is_directory(dir)) {
+      std::fprintf(stderr, "error: cannot create BENCH json directory '%s'%s%s\n",
+                   dir.c_str(), error ? ": " : "",
+                   error ? error.message().c_str() : "");
+      std::exit(2);
+    }
+  }
   set_progress_interval(cli_.progress_interval());
   set_inprocess(cli_.inprocess());
 }
@@ -227,9 +241,11 @@ FlowMetrics run_strategy_flow(const net::Network& network, core::Strategy strate
   metrics.pool_tasks = obs::counter("pool.tasks").value();
   metrics.pool_steal_successes = obs::counter("pool.steal_successes").value();
   metrics.pool_utilization = obs::gauge_value("pool.utilization");
+  // A run asked for BENCH json must not succeed without it: the
+  // exception ends the program with a non-zero status.
   if (!write_flow_metrics_json(metrics))
-    std::fprintf(stderr, "warning: cannot write BENCH json for %s\n",
-                 metrics.benchmark.c_str());
+    throw std::runtime_error("cannot write BENCH json for " + metrics.benchmark +
+                             " under '" + bench_json_dir() + "'");
   return metrics;
 }
 

@@ -134,7 +134,8 @@ double ratio(double value, double baseline);
 /// Directory for per-run BENCH_<benchmark>__<strategy>.json files. When
 /// set (via TelemetryCli's --bench-json-dir or the SIMGEN_BENCH_JSON_DIR
 /// environment variable), run_strategy_flow writes one machine-readable
-/// JSON file per (benchmark, strategy) run. Empty disables emission.
+/// JSON file per (benchmark, strategy) run and throws std::runtime_error
+/// if it cannot. Empty disables emission.
 void set_bench_json_dir(std::string dir);
 [[nodiscard]] const std::string& bench_json_dir();
 
@@ -146,7 +147,8 @@ bool write_flow_metrics_json(const FlowMetrics& metrics);
 /// generic obs::TelemetryCli flags (--trace-out, --metrics-out,
 /// --journal-out, --progress, --timeout, --no-inprocess; see
 /// obs/telemetry_cli.hpp) plus the bench-specific
-///   --bench-json-dir DIR   per-run BENCH_*.json output directory
+///   --bench-json-dir DIR   per-run BENCH_*.json output directory, created
+///                          if missing (exits 2 if it cannot be)
 ///   --threads N            for_each_cell workers (1 = sequential, the
 ///                          default; 0 = one per hardware thread); an
 ///                          integer outside [0, 1024] exits 2

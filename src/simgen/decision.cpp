@@ -58,7 +58,7 @@ DecisionOutcome DecisionEngine::decide(NodeValues& values, net::NodeId node,
   DecisionOutcome outcome;
   const auto& node_rows = rows_.rows(node);
   const auto fanins_pre = network_.fanins(node);
-  // Bitmask form of the local assignment (see ImplicationEngine::run).
+  // Bitmask form of the local assignment (see scan_rows, implication.cpp).
   std::uint32_t assigned_mask = 0;
   std::uint32_t value_bits = 0;
   for (unsigned v = 0; v < fanins_pre.size(); ++v) {

@@ -7,7 +7,9 @@ GeneratorStats::GeneratorStats(obs::register_t)
       targets_satisfied("simgen.targets_satisfied"),
       conflicts("simgen.conflicts"),
       implications("simgen.implications"),
-      decisions("simgen.decisions") {}
+      decisions("simgen.decisions"),
+      nodes_examined("simgen.nodes_examined"),
+      implication_table_fills("simgen.implication_table_fills") {}
 
 PatternGenerator::PatternGenerator(const net::Network& network,
                                    GeneratorOptions options, std::uint64_t seed)
@@ -37,7 +39,7 @@ void PatternGenerator::mark_cone(net::NodeId root) {
   while (!cone_stack_.empty()) {
     const net::NodeId node = cone_stack_.back();
     cone_stack_.pop_back();
-    for (net::NodeId fanin : network_.fanins(node)) {
+    for (net::NodeId fanin : implication_.adjacency().fanins(node)) {
       if (in_cone_stamp_[fanin] == stamp_) continue;
       in_cone_stamp_[fanin] = stamp_;
       cone_stack_.push_back(fanin);
@@ -80,6 +82,34 @@ VectorResult PatternGenerator::generate(std::span<const Target> targets) {
   return result;
 }
 
+net::NodeId PatternGenerator::latest_updated(std::size_t init_mark) {
+  // Walk the trail backwards, jumping over intervals earlier walks of
+  // this target already covered. DC-left fanins never enter the trail,
+  // so their subtrees are correctly left free.
+  const FlatAdjacency& adjacency = implication_.adjacency();
+  const auto& trail = values_.trail();
+  const std::size_t end = trail.size();
+  for (std::size_t i = end; i > init_mark;) {
+    if (!walked_.empty() && walked_.back().second == i) {
+      i = walked_.back().first;
+      walked_.pop_back();
+      continue;
+    }
+    const net::NodeId node = trail[--i];
+    if (in_cone_stamp_[node] != stamp_) continue;
+    if (processed_stamp_[node] == stamp_) continue;
+    if (!adjacency.is_lut(node)) continue;
+    processed_stamp_[node] = stamp_;  // visited either way
+    for (net::NodeId fanin : adjacency.fanins(node)) {
+      if (!values_.is_assigned(fanin)) {
+        walked_.emplace_back(i, end);
+        return node;
+      }
+    }
+  }
+  return net::kNullNode;
+}
+
 bool PatternGenerator::process_target(const Target& target) {
   // Algorithm 1 line 4: snapshot so a conflict can restore initVals.
   const std::size_t init_mark = values_.mark();
@@ -87,6 +117,7 @@ bool PatternGenerator::process_target(const Target& target) {
   // Line 6: listDfs — the fanin cone of the target (stamped membership).
   ++stamp_;
   mark_cone(target.node);
+  walked_.clear();
 
   // Line 5: nodeVals[targetNode] = OUTgold[targetNode].
   values_.assign(target.node, tval_of(target.gold));
@@ -103,6 +134,8 @@ bool PatternGenerator::process_target(const Target& target) {
     const ImplicationOutcome implied =
         implication_.run(values_, seeds, options_.implication);
     stats_.implications.inc(implied.assignments);
+    stats_.nodes_examined.inc(implied.nodes_examined);
+    stats_.implication_table_fills.inc(implied.table_fills);
     if (implied.conflict) {
       // Lines 11-13: conflict — restore initVals, abandon this target.
       stats_.conflicts.inc();
@@ -111,29 +144,8 @@ bool PatternGenerator::process_target(const Target& target) {
     }
     seed_start = values_.trail().size();
 
-    // Line 15: latestUpdated — the most recently assigned, not yet
-    // processed node inside the target's cone that still has work (an
-    // unassigned fanin to decide). DC-left fanins never enter the trail,
-    // so their subtrees are correctly left free.
-    net::NodeId candidate = net::kNullNode;
-    for (std::size_t i = values_.trail().size(); i-- > init_mark;) {
-      const net::NodeId node = values_.trail()[i];
-      if (in_cone_stamp_[node] != stamp_) continue;
-      if (processed_stamp_[node] == stamp_) continue;
-      if (!network_.is_lut(node)) continue;
-      bool has_open_fanin = false;
-      for (net::NodeId fanin : network_.fanins(node)) {
-        if (!values_.is_assigned(fanin)) {
-          has_open_fanin = true;
-          break;
-        }
-      }
-      processed_stamp_[node] = stamp_;  // visited either way
-      if (has_open_fanin) {
-        candidate = node;
-        break;
-      }
-    }
+    // Line 15: latestUpdated.
+    const net::NodeId candidate = latest_updated(init_mark);
     if (candidate == net::kNullNode) return true;  // cone saturated: success
 
     // Line 16: decision at the candidate.

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "network/mffc.hpp"
@@ -47,6 +48,8 @@ struct GeneratorStats {
   obs::Counter conflicts;
   obs::Counter implications;
   obs::Counter decisions;
+  obs::Counter nodes_examined;           ///< Implication node examinations.
+  obs::Counter implication_table_fills;  ///< Outcome-table misses filled by a row scan.
 };
 
 /// Result of one generate() call: the (partial) input vector and how many
@@ -87,6 +90,11 @@ class PatternGenerator {
   /// stamp (allocation-free replacement for net::fanin_cone_dfs).
   void mark_cone(net::NodeId root);
 
+  /// Algorithm 1 line 15 (latestUpdated): the most recently assigned,
+  /// not yet processed LUT in the target's cone that still has an
+  /// unassigned fanin; kNullNode when the cone is saturated.
+  net::NodeId latest_updated(std::size_t init_mark);
+
   const net::Network& network_;
   GeneratorOptions options_;
   RowDatabase rows_;
@@ -104,6 +112,11 @@ class PatternGenerator {
   std::uint32_t stamp_ = 0;
   std::vector<net::NodeId> constants_;
   std::vector<net::NodeId> cone_stack_;
+  /// Trail intervals [first, second) latest_updated already walked for
+  /// the current target, oldest lowest. Every entry in them is skipped by
+  /// any later walk (out of cone, not a LUT, or processed), and the trail
+  /// only grows until the target ends.
+  std::vector<std::pair<std::size_t, std::size_t>> walked_;
 };
 
 }  // namespace simgen::core

@@ -3,6 +3,11 @@
 #   cmake -DCOMMAND=<exe> -DARGS=a|b|c -DEXPECT_EXIT=2
 #         -DEXPECT_STDERR=<regex> -P expect_exit.cmake
 # ARGS is '|'-separated so it survives add_test's list handling.
+# Optional: FRESH_DIR is removed before the run, and EXPECT_FILE must
+# exist after it.
+if(DEFINED FRESH_DIR)
+  file(REMOVE_RECURSE "${FRESH_DIR}")
+endif()
 string(REPLACE "|" ";" args "${ARGS}")
 execute_process(COMMAND "${COMMAND}" ${args}
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
@@ -12,4 +17,8 @@ if(NOT rc STREQUAL "${EXPECT_EXIT}")
 endif()
 if(NOT err MATCHES "${EXPECT_STDERR}")
   message(FATAL_ERROR "stderr does not match '${EXPECT_STDERR}':\n${err}")
+endif()
+if(DEFINED EXPECT_FILE AND NOT EXISTS "${EXPECT_FILE}")
+  message(FATAL_ERROR "expected file ${EXPECT_FILE} was not written\n"
+                      "stdout:\n${out}\nstderr:\n${err}")
 endif()

@@ -7,9 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <string_view>
 
 #include "benchgen/generator.hpp"
+#include "benchgen/suite.hpp"
+#include "sim/eqclass.hpp"
 #include "sim/simulator.hpp"
+#include "simgen/guided_sim.hpp"
 #include "util/rng.hpp"
 
 namespace simgen::core {
@@ -206,6 +210,72 @@ TEST(Generator, StatsAccumulate) {
   EXPECT_EQ(generator.stats().targets_attempted.value(), 2u);
   generator.generate(targets);
   EXPECT_EQ(generator.stats().targets_attempted.value(), 4u);
+}
+
+// Golden digest of every vector Algorithm 1 produces: PI values and
+// satisfied counts of each generate() call over the classes left by one
+// random word, two rounds (both OUTgold phases), per arm. The digests
+// were recorded from the row-scan implication engine; any change in an
+// implied value, its order, a conflict or the latestUpdated candidate
+// walk changes a vector or a count and breaks them. (AI+DC and
+// AI+DC+MFFC happen to produce the same vectors on cps.)
+std::uint64_t generator_vector_digest(std::string_view benchmark,
+                                      Strategy arm) {
+  const net::Network network =
+      benchgen::generate_mapped(*benchgen::find_benchmark(benchmark));
+  sim::Simulator simulator(network);
+  simulator.simulate_random_word(7, 0);
+  sim::EquivClasses classes = sim::EquivClasses::over_luts(network);
+  classes.refine(simulator);
+  PatternGenerator generator(network, generator_options_for(arm), 5);
+
+  std::uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a
+  const auto mix = [&](std::uint64_t value) {
+    hash = (hash ^ value) * 0x100000001b3ull;
+  };
+  for (int round = 0; round < 2; ++round) {
+    for (sim::ClassId c{0}; c < classes.num_classes(); ++c) {
+      const std::vector<Target> targets =
+          make_outgold(classes.class_members(c), round == 1);
+      const VectorResult result = generator.generate(targets);
+      for (const TVal value : result.pi_values)
+        mix(static_cast<std::uint64_t>(value));
+      mix(result.satisfied_zero);
+      mix(result.satisfied_one);
+    }
+  }
+  return hash;
+}
+
+TEST(GeneratorGolden, VectorDigestsMatchRecorded) {
+  struct Golden {
+    std::string_view benchmark;
+    Strategy arm;
+    std::uint64_t digest;
+  };
+  constexpr Golden kGoldens[] = {
+      {"alu4", Strategy::kSiRd, 1890112715375443807ull},
+      {"alu4", Strategy::kAiRd, 12275195160340465262ull},
+      {"alu4", Strategy::kAiDc, 9220105839138888690ull},
+      {"alu4", Strategy::kAiDcMffc, 16107574091531702141ull},
+      {"apex2", Strategy::kSiRd, 7815809487672682227ull},
+      {"apex2", Strategy::kAiRd, 13272849215965214662ull},
+      {"apex2", Strategy::kAiDc, 5365163877511075849ull},
+      {"apex2", Strategy::kAiDcMffc, 17013964831668158827ull},
+      {"cps", Strategy::kSiRd, 3563593787721187301ull},
+      {"cps", Strategy::kAiRd, 7609970568263328111ull},
+      {"cps", Strategy::kAiDc, 16575668911680751523ull},
+      {"cps", Strategy::kAiDcMffc, 16575668911680751523ull},
+      {"b14_C", Strategy::kSiRd, 768352214060687932ull},
+      {"b14_C", Strategy::kAiRd, 9792183692322427620ull},
+      {"b14_C", Strategy::kAiDc, 5639342045897551503ull},
+      {"b14_C", Strategy::kAiDcMffc, 11145222492259046557ull},
+  };
+  for (const Golden& golden : kGoldens) {
+    EXPECT_EQ(generator_vector_digest(golden.benchmark, golden.arm),
+              golden.digest)
+        << golden.benchmark << " " << strategy_name(golden.arm);
+  }
 }
 
 }  // namespace

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
+#include <span>
+#include <vector>
 
 #include "benchgen/generator.hpp"
 #include "sim/simulator.hpp"
@@ -214,6 +217,160 @@ TEST(Implication, RespectsConstantNodes) {
 namespace simgen::core {
 namespace {
 
+// Reference engine: the row-scan implication fixpoint the table-driven
+// ImplicationEngine replaced, kept here to pin its behaviour. Every
+// examination scans the node's rows through the Network's own adjacency.
+ImplicationOutcome reference_implications(const net::Network& network,
+                                          const RowDatabase& rows,
+                                          NodeValues& values,
+                                          std::span<const net::NodeId> seeds,
+                                          ImplicationStrategy strategy) {
+  ImplicationOutcome outcome;
+  if (strategy == ImplicationStrategy::kNone) return outcome;
+
+  std::vector<bool> queued(network.num_nodes(), false);
+  std::vector<net::NodeId> queue;
+  std::size_t head = 0;
+  const auto push = [&](net::NodeId node) {
+    if (queued[node]) return;
+    queued[node] = true;
+    queue.push_back(node);
+  };
+  const auto enqueue_affected = [&](net::NodeId node) {
+    if (network.is_lut(node)) push(node);
+    for (net::NodeId fanout : network.fanouts(node))
+      if (network.is_lut(fanout)) push(fanout);
+  };
+  for (net::NodeId seed : seeds) enqueue_affected(seed);
+
+  const auto assign = [&](net::NodeId node, TVal value) {
+    values.assign(node, value);
+    ++outcome.assignments;
+    enqueue_affected(node);
+  };
+
+  while (head < queue.size()) {
+    const net::NodeId node = queue[head++];
+    queued[node] = false;
+    ++outcome.nodes_examined;
+    const auto& node_rows = rows.rows(node);
+    const auto fanins = network.fanins(node);
+
+    std::uint32_t assigned_mask = 0;
+    std::uint32_t value_bits = 0;
+    for (unsigned v = 0; v < fanins.size(); ++v) {
+      const TVal value = values.get(fanins[v]);
+      if (value == TVal::kUnknown) continue;
+      assigned_mask |= 1u << v;
+      if (value == TVal::kOne) value_bits |= 1u << v;
+    }
+    const TVal out = values.get(node);
+
+    std::size_t match_count = 0;
+    const Row* last_match = nullptr;
+    std::uint32_t common_mask = ~0u;
+    std::uint32_t first_bits = 0;
+    std::uint32_t polarity_diff = 0;
+    bool outputs_agree = true;
+    bool first_output = false;
+    for (const Row& row : node_rows) {
+      if (out != TVal::kUnknown && out != tval_of(row.output)) continue;
+      if ((row.cube.mask & assigned_mask) & (row.cube.bits ^ value_bits))
+        continue;
+      if (match_count == 0) {
+        first_bits = row.cube.bits;
+        first_output = row.output;
+      } else {
+        polarity_diff |= row.cube.bits ^ first_bits;
+        if (row.output != first_output) outputs_agree = false;
+      }
+      common_mask &= row.cube.mask;
+      last_match = &row;
+      ++match_count;
+    }
+
+    if (match_count == 0) {
+      outcome.conflict = true;
+      outcome.conflict_node = node;
+      return outcome;
+    }
+
+    if (strategy == ImplicationStrategy::kSimple) {
+      if (match_count != 1) continue;
+      const Row& row = *last_match;
+      if (out == TVal::kUnknown) assign(node, tval_of(row.output));
+      std::uint32_t to_assign = row.cube.mask & ~assigned_mask;
+      while (to_assign != 0) {
+        const unsigned v = static_cast<unsigned>(std::countr_zero(to_assign));
+        to_assign &= to_assign - 1;
+        if (!values.is_assigned(fanins[v]))
+          assign(fanins[v], tval_of(row.cube.literal_value(v)));
+      }
+      continue;
+    }
+
+    if (out == TVal::kUnknown && outputs_agree)
+      assign(node, tval_of(first_output));
+    std::uint32_t agreed = common_mask & ~polarity_diff & ~assigned_mask;
+    agreed &= (fanins.size() >= 32) ? ~0u : ((1u << fanins.size()) - 1u);
+    while (agreed != 0) {
+      const unsigned v = static_cast<unsigned>(std::countr_zero(agreed));
+      agreed &= agreed - 1;
+      if (!values.is_assigned(fanins[v]))
+        assign(fanins[v], tval_of((first_bits >> v) & 1u));
+    }
+  }
+  return outcome;
+}
+
+// Appends the shapes a mapped benchgen network lacks: a LUT reading both
+// constants, a LUT with a duplicated fanin, and a 7-input LUT (wider
+// than an outcome table, so always scanned). Functions are random.
+net::Network with_edge_case_luts(net::Network network, util::Rng& rng) {
+  std::vector<net::NodeId> sources;
+  network.for_each_node([&](net::NodeId id) {
+    if (network.is_pi(id) || network.is_lut(id)) sources.push_back(id);
+  });
+  const auto pick = [&] { return sources[rng.below(sources.size())]; };
+  const auto random_function = [&](unsigned num_vars) {
+    std::vector<std::uint64_t> words(num_vars <= 6 ? 1 : 1u << (num_vars - 6));
+    for (std::uint64_t& word : words) word = rng();
+    return tt::TruthTable::from_words(num_vars, words);
+  };
+  const net::NodeId one = network.add_constant(true);
+  const net::NodeId zero = network.add_constant(false);
+  const std::array<net::NodeId, 3> fc{one, pick(), zero};
+  const net::NodeId with_constants = network.add_lut(fc, random_function(3));
+  const net::NodeId twice = pick();
+  const std::array<net::NodeId, 4> fd{twice, pick(), twice, with_constants};
+  const net::NodeId duplicated = network.add_lut(fd, random_function(4));
+  const std::array<net::NodeId, 7> fw{pick(), pick(), pick(), pick(),
+                                      pick(), duplicated, with_constants};
+  network.add_po(network.add_lut(fw, random_function(7)));
+  return network;
+}
+
+// The fast engine must reproduce the reference exactly: the same trail
+// (values and order), conflict, conflict node, and work counts.
+void expect_matches_reference(const net::Network& network,
+                              const RowDatabase& rows, ImplicationEngine& engine,
+                              const NodeValues& start,
+                              std::span<const net::NodeId> seeds,
+                              ImplicationStrategy strategy) {
+  NodeValues expected_values = start;
+  const ImplicationOutcome expected =
+      reference_implications(network, rows, expected_values, seeds, strategy);
+  NodeValues values = start;
+  const ImplicationOutcome outcome = engine.run(values, seeds, strategy);
+  EXPECT_EQ(outcome.conflict, expected.conflict);
+  EXPECT_EQ(outcome.conflict_node, expected.conflict_node);
+  EXPECT_EQ(outcome.assignments, expected.assignments);
+  EXPECT_EQ(outcome.nodes_examined, expected.nodes_examined);
+  ASSERT_EQ(values.trail(), expected_values.trail());
+  for (const net::NodeId node : values.trail())
+    ASSERT_EQ(values.get(node), expected_values.get(node)) << "node " << node;
+}
+
 // Soundness fuzz: every value assigned by (simple or advanced)
 // implication must be semantically forced — in EVERY complete PI
 // assignment whose simulation is consistent with the initial partial
@@ -226,10 +383,14 @@ TEST_P(ImplicationSoundness, ImpliedValuesAreForced) {
   spec.num_pis = 8;
   spec.num_pos = 4;
   spec.num_gates = 60;
-  const net::Network network = benchgen::generate_mapped(spec);
-  const RowDatabase rows(network);
-  sim::Simulator simulator(network);
   util::Rng rng(GetParam() * 31 + 7);
+  const net::Network network =
+      with_edge_case_luts(benchgen::generate_mapped(spec), rng);
+  const RowDatabase rows(network);
+  // One engine across rounds and strategies, so table entries filled in
+  // one round are read back in later ones.
+  ImplicationEngine engine(network, rows);
+  sim::Simulator simulator(network);
 
   // Exhaustive simulation table: value of every node on all 256 patterns.
   const std::size_t num_patterns = std::size_t{1} << network.num_pis();
@@ -251,23 +412,23 @@ TEST_P(ImplicationSoundness, ImpliedValuesAreForced) {
 
   for (int round = 0; round < 20; ++round) {
     // Build a consistent partial assignment by sampling node values from
-    // one concrete pattern.
+    // one concrete pattern. Constants always carry their value, as in
+    // the generator.
     const std::size_t seed_pattern = rng.below(num_patterns);
     NodeValues values(network.num_nodes());
     std::vector<net::NodeId> seeds;
     network.for_each_node([&](net::NodeId id) {
       if (network.is_po(id)) return;
-      if (!rng.chance(0.2)) return;
+      if (!network.is_constant(id) && !rng.chance(0.2)) return;
       values.assign(id, tval_of(truth[seed_pattern][id]));
       seeds.push_back(id);
     });
-    if (seeds.empty()) continue;
     const std::size_t premise_count = values.num_assigned();
 
     const auto strategy = (round & 1) ? ImplicationStrategy::kAdvanced
                                       : ImplicationStrategy::kSimple;
-    const ImplicationOutcome outcome =
-        run_implications(network, rows, values, seeds, strategy);
+    expect_matches_reference(network, rows, engine, values, seeds, strategy);
+    const ImplicationOutcome outcome = engine.run(values, seeds, strategy);
     ASSERT_FALSE(outcome.conflict)
         << "consistent assignment must not conflict";
 
@@ -289,6 +450,37 @@ TEST_P(ImplicationSoundness, ImpliedValuesAreForced) {
             << pattern << ", node " << node << ")";
       }
     }
+  }
+}
+
+// Differential check on random, mostly inconsistent partial assignments
+// (every node, constants included, independently X/0/1): conflicts and
+// their nodes must match the reference too.
+TEST_P(ImplicationSoundness, MatchesReferenceOnArbitraryAssignments) {
+  benchgen::CircuitSpec spec;
+  spec.name = "impl_fuzz_" + std::to_string(GetParam());
+  spec.num_pis = 8;
+  spec.num_pos = 4;
+  spec.num_gates = 60;
+  util::Rng rng(GetParam() * 131 + 3);
+  const net::Network network =
+      with_edge_case_luts(benchgen::generate_mapped(spec), rng);
+  const RowDatabase rows(network);
+  ImplicationEngine engine(network, rows);
+
+  for (int round = 0; round < 200; ++round) {
+    const double density = 0.05 + 0.3 * rng.uniform01();
+    NodeValues values(network.num_nodes());
+    std::vector<net::NodeId> seeds;
+    network.for_each_node([&](net::NodeId id) {
+      if (network.is_po(id) || !rng.chance(density)) return;
+      values.assign(id, tval_of(rng.flip()));
+      seeds.push_back(id);
+    });
+    const auto strategy = (round & 1) ? ImplicationStrategy::kAdvanced
+                                      : ImplicationStrategy::kSimple;
+    SCOPED_TRACE(round);
+    expect_matches_reference(network, rows, engine, values, seeds, strategy);
   }
 }
 
