@@ -165,7 +165,6 @@ sat::Result Sweeper::check_pair(net::NodeId a, net::NodeId b) {
   // Fresh miter variable t <-> (a xor b); one solve call per pair, as the
   // paper counts SAT calls.
   const sat::Var t = solver_.new_var();
-  solver_.set_frozen(t);  // pinned by later solves; BVE must not touch it
   solver_.add_clause({sat::neg(t), sat::pos(var_a), sat::pos(var_b)});
   solver_.add_clause({sat::neg(t), sat::neg(var_a), sat::neg(var_b)});
   solver_.add_clause({sat::pos(t), sat::pos(var_a), sat::neg(var_b)});

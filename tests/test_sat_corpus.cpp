@@ -6,8 +6,8 @@
 // every UNSAT verdict is DRAT-certified. The families target specific
 // inprocessing passes: pigeonhole (resolution-hard search), parity
 // chains and cycles (SCC substitution), unit-heavy and unit-conflict
-// instances (level-0 simplification), pure literals (zero-resolvent
-// BVE), and duplicate/tautological clauses (normalization hygiene).
+// instances (level-0 simplification), pure literals, and
+// duplicate/tautological clauses (normalization hygiene).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -73,8 +73,6 @@ void run_instance(const std::filesystem::path& path, bool inprocess) {
   config.conflict_interval = 0;  // run the passes before every solve
   solver.set_inprocess_config(config);
   check::Certifier certifier(solver);
-  // DIMACS variables are plain query variables — none frozen, so the
-  // full pass set (including BVE and SCC substitution) applies.
   const bool consistent = load_problem(solver, problem);
   const Result verdict = consistent ? solver.solve() : Result::kUnsat;
 
