@@ -57,12 +57,12 @@ struct SweepOptions {
   /// resolved, SAT calls, ETA) during run(). Printed at info level and
   /// journaled as kHeartbeat events; 0 disables.
   double progress_interval = 0.0;
-  /// Run the solver's inprocessing layer (subsumption, vivification,
-  /// failed-literal probing, ...) between restarts. Equivalence-
-  /// preserving passes only on the sweeping encoding (every encoder
-  /// variable is frozen), so verdicts and counterexamples are unaffected;
-  /// off reproduces the plain CDCL behaviour (--no-inprocess escape
-  /// hatch in the CLI tools).
+  /// Run the solver's inprocessing layer (SCC substitution, subsumption,
+  /// vivification) between restarts. The passes preserve satisfiability
+  /// under every assumption set, so verdicts are unaffected; SAT models,
+  /// and with them counterexamples and SAT-call counts, may differ. Off
+  /// reproduces the plain CDCL behaviour (--no-inprocess escape hatch in
+  /// the CLI tools).
   bool inprocess = true;
   /// Guided-simulation strategy arm (core::Strategy numeric value) that
   /// produced the classes being swept. Purely observational: recorded as
