@@ -219,13 +219,13 @@ FlowMetrics run_strategy_flow(const net::Network& network, core::Strategy strate
     metrics.proven = sweep_result.proven_equivalent;
     metrics.disproven = sweep_result.disproven;
     metrics.unresolved = sweep_result.unresolved;
-    // SAT hardness rollups from this flow's own solver instance — the
-    // registry totals would mix in concurrently sharded cells.
-    const sat::SolverStats& solver_stats = sweeper.solver().stats();
+    // SAT hardness rollups from this flow's own sweep, over every solver
+    // it built — the registry totals would mix in concurrently sharded
+    // cells.
     metrics.sat_wall_seconds = sweep_result.sat_seconds;
-    metrics.sat_conflicts = solver_stats.conflicts.value();
-    metrics.sat_propagations = solver_stats.propagations.value();
-    metrics.sat_restarts = solver_stats.restarts.value();
+    metrics.sat_conflicts = sweep_result.sat_conflicts;
+    metrics.sat_propagations = sweep_result.sat_propagations;
+    metrics.sat_restarts = sweep_result.sat_restarts;
     metrics.inprocess_runs = sweep_result.inprocess_runs;
   }
   flow_watch.stop();

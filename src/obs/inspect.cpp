@@ -697,7 +697,7 @@ void write_text_report(std::ostream& out, const JournalReport& report,
   const auto ranked_classes = rank_classes(report);
   out << "\ntop classes by SAT time:\n";
   out << "  rep        calls  sat-time     conflicts  merges  disproofs  "
-         "max-cone\n";
+         "new-vars\n";
   int shown = 0;
   for (const ClassRecord* record : ranked_classes) {
     if (shown >= options.top_k) break;
@@ -718,7 +718,7 @@ void write_text_report(std::ostream& out, const JournalReport& report,
   const auto ranked_calls = rank_calls(report);
   out << "\ntop SAT calls:\n";
   out << "  at            pair                 verdict  duration     conflicts"
-         "  cone   learned\n";
+         "  new-vars  learned\n";
   shown = 0;
   for (const SatCallRecord* call : ranked_calls) {
     if (shown >= options.top_k) break;
@@ -729,7 +729,7 @@ void write_text_report(std::ostream& out, const JournalReport& report,
       std::snprintf(pair, sizeof pair, "(%" PRIu64 ", %" PRIu64 ")", call->a,
                     call->b);
     std::snprintf(line, sizeof line,
-                  "  %s  %-19s  %-7s  %-11s  %-9" PRIu64 "  %-5" PRIu64
+                  "  %s  %-19s  %-7s  %-11s  %-9" PRIu64 "  %-8" PRIu64
                   "  %" PRIu64 "\n",
                   format_time_ns(call->t_ns).c_str(), pair,
                   verdict_name(call->verdict),
@@ -1218,7 +1218,7 @@ void write_html_report(std::ostream& out, const JournalReport& report,
   out << "<h2>Top classes by SAT time</h2>\n<table>\n"
          "<tr><th>representative</th><th>SAT calls</th><th>SAT time</th>"
          "<th>conflicts</th><th>merges</th><th>disproofs</th>"
-         "<th>max cone vars</th><th>created via</th></tr>\n";
+         "<th>new-vars</th><th>created via</th></tr>\n";
   int shown = 0;
   for (const ClassRecord* record : rank_classes(report)) {
     if (shown >= options.top_k) break;
@@ -1240,7 +1240,7 @@ void write_html_report(std::ostream& out, const JournalReport& report,
   out << "<h2>Top SAT calls</h2>\n<table>\n"
          "<tr><th>target</th><th>verdict</th><th>duration</th>"
          "<th>conflicts</th><th>propagations</th><th>decisions</th>"
-         "<th>cone vars</th><th>learned</th></tr>\n";
+         "<th>new-vars</th><th>learned</th></tr>\n";
   shown = 0;
   for (const SatCallRecord* call : rank_calls(report)) {
     if (shown >= options.top_k) break;

@@ -42,6 +42,7 @@ struct ClassRecord {
   std::uint64_t sat_time_us = 0;
   std::uint64_t conflicts = 0;
   std::uint64_t disproofs = 0;  ///< SAT (inequivalent) verdicts.
+  /// Most variables one call newly encoded (`new-vars`), not a cone size.
   std::uint64_t max_cone_vars = 0;
   std::vector<TimelineEntry> timeline;
 };
@@ -57,6 +58,8 @@ struct SatCallRecord {
   std::uint64_t conflicts = 0;
   std::uint64_t propagations = 0;
   std::uint64_t decisions = 0;
+  /// Variables the call newly encoded (`new-vars`): 0 when its whole
+  /// cone was already loaded, so not the size of the cone.
   std::uint64_t cone_vars = 0;
   std::uint64_t learned = 0;
   std::uint32_t dur_us = 0;

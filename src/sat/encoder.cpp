@@ -6,8 +6,12 @@
 
 namespace simgen::sat {
 
-CnfEncoder::CnfEncoder(const net::Network& network, Solver& solver)
-    : network_(network), solver_(solver), vars_(network.num_nodes(), kUnencoded) {}
+CnfEncoder::CnfEncoder(const net::Network& network, Solver& solver,
+                       std::span<const net::NodeId> substitutions)
+    : network_(network),
+      solver_(solver),
+      substitutions_(substitutions),
+      vars_(network.num_nodes(), kUnencoded) {}
 
 Var CnfEncoder::ensure_encoded(net::NodeId node) {
   if (is_encoded(node)) return vars_[node];
@@ -18,6 +22,17 @@ Var CnfEncoder::ensure_encoded(net::NodeId node) {
     auto& [current, next_fanin] = stack.back();
     if (is_encoded(current)) {
       stack.pop_back();
+      continue;
+    }
+    const net::NodeId substitute =
+        substitutions_.empty() ? net::kNullNode : substitutions_[current];
+    if (substitute != net::kNullNode) {
+      if (is_encoded(substitute)) {
+        vars_[current] = vars_[substitute];
+        stack.pop_back();
+      } else {
+        stack.emplace_back(substitute, 0);
+      }
       continue;
     }
     const auto fanins = network_.fanins(current);

@@ -8,8 +8,14 @@
 /// LUT semantics are encoded from the ISOP covers: every ON-set cube c
 /// yields the clause (c -> y) and every OFF-set cube the clause (c -> !y),
 /// which together are a complete and consistent definition of y.
+///
+/// An optional substitution map (node -> proven-equal lower node) lets a
+/// fresh solver start from earlier proofs: a node the map names is
+/// encoded as its substitute and shares the substitute's variable, so its
+/// own cone is never loaded.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "network/network.hpp"
@@ -20,10 +26,17 @@ namespace simgen::sat {
 /// Binds a Network to a Solver, creating variables and clauses lazily.
 class CnfEncoder {
  public:
-  CnfEncoder(const net::Network& network, Solver& solver);
+  /// \p substitutions, when non-empty, has one entry per network node:
+  /// kNullNode, or a node with a smaller id proven functionally equal to
+  /// it. The encoder reads it only when it encodes a node for the first
+  /// time, and it must outlive the encoder; entries added later take
+  /// effect for nodes not yet encoded.
+  CnfEncoder(const net::Network& network, Solver& solver,
+             std::span<const net::NodeId> substitutions = {});
 
   /// Encodes the transitive fanin cone of \p node (if not already done)
-  /// and returns the solver variable carrying the node's value.
+  /// and returns the solver variable carrying the node's value. A node
+  /// with a substitute is encoded as that substitute instead.
   Var ensure_encoded(net::NodeId node);
 
   /// Variable of an already encoded node.
@@ -46,6 +59,7 @@ class CnfEncoder {
   static constexpr Var kUnencoded{~std::uint32_t{0}};
   const net::Network& network_;
   Solver& solver_;
+  std::span<const net::NodeId> substitutions_;
   std::vector<Var> vars_;
 };
 

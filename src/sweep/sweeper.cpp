@@ -1,5 +1,6 @@
 #include "sweep/sweeper.hpp"
 
+#include <algorithm>
 #include <span>
 #include <stdexcept>
 
@@ -16,6 +17,17 @@
 namespace simgen::sweep {
 
 namespace {
+
+/// check_pair rebuilds the solver before every kRebuildPeriod-th call of
+/// the sweeper's life. Each call leaves its cone and learned clauses
+/// behind, so an old solver propagates far outside the query's cone; a
+/// rebuild reloads only what later queries touch, merged through the
+/// substitutions, but re-encoding costs time too. CEC of
+/// put_on_top(b17_C, 5) mapped vs direct (about 22k calls, guided
+/// simulation off) took 11.4-11.9 s at period 100, 6.8-7.2 s at 500,
+/// 6.2-6.4 s at 1000, 6.2-6.6 s at 2000 and 7.0-7.5 s at 8000, against
+/// 9.5-10.0 s with no rebuild (4-vCPU x86-64, AVX-512, Release).
+constexpr std::uint64_t kRebuildPeriod = 1000;
 
 obs::SatVerdict to_verdict(sat::Result result) noexcept {
   switch (result) {
@@ -101,15 +113,26 @@ void emit_cone_fingerprint(const net::Network& network, net::NodeId root_a,
 Sweeper::Sweeper(const net::Network& network, SweepOptions options)
     : network_(network),
       options_(options),
-      certifier_(options.certify ? std::make_unique<check::Certifier>(solver_)
-                                 : nullptr),
-      encoder_(network, solver_) {
-  solver_.set_conflict_limit(options_.conflict_limit);
+      substitutions_(network.num_nodes(), net::kNullNode) {
+  rebuild_solver();
+}
+
+void Sweeper::rebuild_solver() {
+  // Tear down in reverse dependency order: the encoder and the certifier
+  // both point into the solver.
+  encoder_.reset();
+  certifier_.reset();
+  solver_ = std::make_unique<sat::Solver>();
+  solver_->set_conflict_limit(options_.conflict_limit);
   if (!options_.inprocess) {
-    sat::InprocessConfig config = solver_.inprocess_config();
+    sat::InprocessConfig config = solver_->inprocess_config();
     config.enabled = false;
-    solver_.set_inprocess_config(config);
+    solver_->set_inprocess_config(config);
   }
+  if (options_.certify)
+    certifier_ = std::make_unique<check::Certifier>(*solver_);
+  encoder_ =
+      std::make_unique<sat::CnfEncoder>(network_, *solver_, substitutions_);
 }
 
 void Sweeper::certify_unsat(std::span<const sat::Lit> assumptions,
@@ -145,51 +168,50 @@ void Sweeper::certify_unsat(std::span<const sat::Lit> assumptions,
 }
 
 sat::Result Sweeper::check_pair(net::NodeId a, net::NodeId b) {
-  // Solver cost baselines for the journal's per-call deltas; the
-  // num_vars delta across encode+solve is the newly encoded cone size.
-  const bool journal = obs::journal_enabled();
-  std::uint64_t conflicts0 = 0, props0 = 0, decisions0 = 0, learned0 = 0;
-  std::uint64_t vars0 = 0;
-  if (journal) {
-    const sat::SolverStats& stats = solver_.stats();
-    conflicts0 = stats.conflicts.value();
-    props0 = stats.propagations.value();
-    decisions0 = stats.decisions.value();
-    learned0 = stats.learned_clauses.value();
-    vars0 = solver_.num_vars();
-  }
+  // Rebuild before any baseline below is read: the per-call deltas must
+  // all come from the solver that answers this call.
+  if ((totals_.sat_calls + 1) % kRebuildPeriod == 0) rebuild_solver();
+  sat::Solver& solver = *solver_;
 
-  const sat::Var var_a = encoder_.ensure_encoded(a);
-  const sat::Var var_b = encoder_.ensure_encoded(b);
+  // Solver cost baselines for the per-call deltas; the num_vars delta
+  // across encode+solve is the number of newly encoded variables.
+  const bool journal = obs::journal_enabled();
+  const sat::SolverStats& stats = solver.stats();
+  const std::uint64_t conflicts0 = stats.conflicts.value();
+  const std::uint64_t props0 = stats.propagations.value();
+  const std::uint64_t restarts0 = stats.restarts.value();
+  const std::uint64_t decisions0 = stats.decisions.value();
+  const std::uint64_t learned0 = stats.learned_clauses.value();
+  const std::uint64_t vars0 = solver.num_vars();
+  const std::uint64_t inprocess0 = stats.inprocess_runs.value();
+
+  const sat::Var var_a = encoder_->ensure_encoded(a);
+  const sat::Var var_b = encoder_->ensure_encoded(b);
 
   // Fresh miter variable t <-> (a xor b); one solve call per pair, as the
   // paper counts SAT calls.
-  const sat::Var t = solver_.new_var();
-  solver_.add_clause({sat::neg(t), sat::pos(var_a), sat::pos(var_b)});
-  solver_.add_clause({sat::neg(t), sat::neg(var_a), sat::neg(var_b)});
-  solver_.add_clause({sat::pos(t), sat::pos(var_a), sat::neg(var_b)});
-  solver_.add_clause({sat::pos(t), sat::neg(var_a), sat::pos(var_b)});
+  const sat::Var t = solver.new_var();
+  solver.add_clause({sat::neg(t), sat::pos(var_a), sat::pos(var_b)});
+  solver.add_clause({sat::neg(t), sat::neg(var_a), sat::neg(var_b)});
+  solver.add_clause({sat::pos(t), sat::pos(var_a), sat::neg(var_b)});
+  solver.add_clause({sat::pos(t), sat::neg(var_a), sat::pos(var_b)});
 
   emit_cone_fingerprint(network_, a, b, a, b, options_.strategy_code,
                         /*output_proof=*/false);
 #ifndef SIMGEN_NO_TELEMETRY
-  solver_.set_introspection_context(a, b, /*output_proof=*/false);
+  solver.set_introspection_context(a, b, /*output_proof=*/false);
 #endif
   util::Stopwatch watch;
   watch.start();
   sat::Result verdict;
-  const std::uint64_t inprocess_before = solver_.stats().inprocess_runs.value();
   {
     obs::Span solve_span("sweep.sat_solve");
-    verdict = solver_.solve({sat::pos(t)});
-    solve_span.arg("conflicts",
-                   static_cast<double>(solver_.stats().conflicts.value()));
+    verdict = solver.solve({sat::pos(t)});
+    solve_span.arg("conflicts", static_cast<double>(stats.conflicts.value()));
   }
   watch.stop();
-  totals_.inprocess_runs +=
-      solver_.stats().inprocess_runs.value() - inprocess_before;
 #ifndef SIMGEN_NO_TELEMETRY
-  solver_.clear_introspection_context();
+  solver.clear_introspection_context();
 #endif
   ++totals_.sat_calls;
   totals_.sat_seconds += watch.seconds();
@@ -197,14 +219,13 @@ sat::Result Sweeper::check_pair(net::NodeId a, net::NodeId b) {
   sat_calls.inc();
 
   if (journal) {
-    const sat::SolverStats& stats = solver_.stats();
     obs::journal_emit(
         obs::EventKind::kSatCall,
         static_cast<std::uint8_t>(to_verdict(verdict)), a, b,
         stats.conflicts.value() - conflicts0,
         stats.propagations.value() - props0,
         stats.decisions.value() - decisions0,
-        obs::pack_cone_learned(solver_.num_vars() - vars0,
+        obs::pack_cone_learned(solver.num_vars() - vars0,
                                stats.learned_clauses.value() - learned0),
         obs::saturate_us(watch.seconds()));
   }
@@ -221,14 +242,21 @@ sat::Result Sweeper::check_pair(net::NodeId a, net::NodeId b) {
       static obs::Counter& proven = obs::counter("sweep.proven");
       proven.inc();
       if (options_.add_equality_clauses) {
-        solver_.add_clause({sat::pos(var_a), sat::neg(var_b)});
-        solver_.add_clause({sat::neg(var_a), sat::pos(var_b)});
+        solver.add_clause({sat::pos(var_a), sat::neg(var_b)});
+        solver.add_clause({sat::neg(var_a), sat::pos(var_b)});
         static obs::Counter& eq_clauses = obs::counter("sweep.equality_clauses");
         eq_clauses.inc(2);
+        // Later solvers encode the higher-id node as the lower one. Both
+        // are encoded in this solver already, so the map changes nothing
+        // until the next rebuild. Pointing to lower ids keeps the map
+        // acyclic and below each node's fanout, as encoding requires.
+        const net::NodeId high = std::max(a, b);
+        if (a != b && substitutions_[high] == net::kNullNode)
+          substitutions_[high] = std::min(a, b);
       }
       // The t-miter of a proven pair is dead weight; pin it false so the
       // solver never branches on it again.
-      solver_.add_clause({sat::neg(t)});
+      solver.add_clause({sat::neg(t)});
       break;
     }
     case sat::Result::kSat: {
@@ -241,10 +269,14 @@ sat::Result Sweeper::check_pair(net::NodeId a, net::NodeId b) {
       ++totals_.unresolved;
       static obs::Counter& unresolved = obs::counter("sweep.unresolved");
       unresolved.inc();
-      solver_.add_clause({sat::neg(t)});
+      solver.add_clause({sat::neg(t)});
       break;
     }
   }
+  totals_.inprocess_runs += stats.inprocess_runs.value() - inprocess0;
+  totals_.sat_conflicts += stats.conflicts.value() - conflicts0;
+  totals_.sat_propagations += stats.propagations.value() - props0;
+  totals_.sat_restarts += stats.restarts.value() - restarts0;
   return verdict;
 }
 
@@ -260,8 +292,8 @@ std::vector<bool> Sweeper::last_model_vector(std::uint64_t salt) {
   std::vector<bool> vector(network_.num_pis());
   for (std::size_t i = 0; i < network_.num_pis(); ++i) {
     const net::NodeId pi = network_.pis()[i];
-    vector[i] = encoder_.is_encoded(pi)
-                    ? solver_.model_value(encoder_.var_of(pi))
+    vector[i] = encoder_->is_encoded(pi)
+                    ? solver_->model_value(encoder_->var_of(pi))
                     : rng.flip();
   }
   return vector;
@@ -325,7 +357,7 @@ SweepResult Sweeper::run(sim::EquivClasses& classes, sim::Simulator& simulator) 
         // which pairs were solved before this one.
         util::Rng rng(witness_seed(representative, candidate));
         resimulate_counterexample(
-            build_witness_words(network_, encoder_, solver_,
+            build_witness_words(network_, *encoder_, *solver_,
                                 options_.distance_one_fill, rng),
             classes, simulator);
         break;
@@ -408,6 +440,9 @@ SweepResult Sweeper::delta_since(const SweepResult& before) const {
   delta.unresolved -= before.unresolved;
   delta.certified_unsat -= before.certified_unsat;
   delta.inprocess_runs -= before.inprocess_runs;
+  delta.sat_conflicts -= before.sat_conflicts;
+  delta.sat_propagations -= before.sat_propagations;
+  delta.sat_restarts -= before.sat_restarts;
   delta.sat_seconds -= before.sat_seconds;
   delta.resimulations -= before.resimulations;
   delta.proven_pairs.erase(delta.proven_pairs.begin(),

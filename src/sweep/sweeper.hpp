@@ -13,6 +13,14 @@
 ///    et al.).
 /// SAT calls and SAT time are counted exactly as reported in the paper's
 /// Table 2 / Figures 5-6.
+///
+/// Solver lifetime: before every kRebuildPeriod-th pair check (a constant
+/// in sweeper.cpp, 1000) the sweeper replaces its incremental solver, and
+/// the solver's certifier and encoder, with fresh ones. Every merge
+/// proven so far survives as an encoder substitution, so the new solver
+/// loads each already-swept cone in its merged, fraiged form instead of
+/// the whole accumulated CNF of the old one (cf. Mishchenko et al.,
+/// "Improvements to combinational equivalence checking", ICCAD 2006).
 #pragma once
 
 #include <cstdint>
@@ -40,7 +48,9 @@ struct SweepOptions {
   /// budget. An output proof that still hits this budget makes the CEC
   /// verdict "undecided" (see CecResult), never a crash.
   std::uint64_t output_proof_conflict_limit = 0;
-  /// Add (a == b) clauses for proven pairs to speed up later proofs.
+  /// Use proven pairs to speed up later proofs: add (a == b) clauses to
+  /// the live solver, and encode the higher-id node of the pair as the
+  /// lower one in every solver built after the proof.
   bool add_equality_clauses = true;
   /// Fill the 63 spare pattern slots of a counterexample word with
   /// 1-distance neighbours (single random PI flips, cf. Mishchenko et
@@ -104,14 +114,21 @@ struct SweepResult {
   std::uint64_t unresolved = 0;          ///< Conflict-limited outcomes.
   std::uint64_t certified_unsat = 0;     ///< UNSAT verdicts DRAT-certified.
   std::uint64_t inprocess_runs = 0;      ///< Solver inprocessing runs.
+  // Solver work summed over check_pair calls, so the totals span every
+  // solver the sweeper built, not only the live one.
+  std::uint64_t sat_conflicts = 0;
+  std::uint64_t sat_propagations = 0;
+  std::uint64_t sat_restarts = 0;
   double sat_seconds = 0.0;              ///< Time inside Solver::solve only.
   std::uint64_t resimulations = 0;
   std::vector<std::pair<net::NodeId, net::NodeId>> proven_pairs;
 };
 
 /// Incremental SAT sweeping over one network. The solver and encoder
-/// persist across calls, so cones are encoded once and learned clauses
-/// carry over — sweeping a class pair-by-pair stays cheap.
+/// persist across up to kRebuildPeriod calls, so cones are encoded once
+/// and learned clauses carry over — sweeping a class pair-by-pair stays
+/// cheap. At each rebuild (see the file comment) learned clauses and
+/// encoded cones go and proven merges stay.
 class Sweeper {
  public:
   Sweeper(const net::Network& network, SweepOptions options);
@@ -123,7 +140,18 @@ class Sweeper {
 
   /// Proves or refutes a single pair. Returns the raw solver verdict and,
   /// for SAT, leaves the counterexample accessible via last_model_vector().
+  /// Rebuilds the solver first when this is the sweeper's
+  /// kRebuildPeriod-th, 2*kRebuildPeriod-th, ... call.
   sat::Result check_pair(net::NodeId a, net::NodeId b);
+
+  /// Replaces the solver, certifier and encoder with fresh ones. Proven
+  /// merges carry over as encoder substitutions; learned clauses, encoded
+  /// cones and a conflict limit set through solver() do not (the new
+  /// solver takes options.conflict_limit). References from solver() and
+  /// encoder() dangle afterwards. check_pair calls it on its own
+  /// schedule, which extra calls do not shift; tests call it to force
+  /// rebuilds at other points.
+  void rebuild_solver();
 
   /// PI vector of the last SAT verdict. PIs outside the solved cone
   /// (unencoded) are filled with random bits drawn from a stream keyed
@@ -133,8 +161,8 @@ class Sweeper {
   /// witness (the CEC output path uses the PO id).
   [[nodiscard]] std::vector<bool> last_model_vector(std::uint64_t salt = 0);
 
-  [[nodiscard]] sat::Solver& solver() noexcept { return solver_; }
-  [[nodiscard]] sat::CnfEncoder& encoder() noexcept { return encoder_; }
+  [[nodiscard]] sat::Solver& solver() noexcept { return *solver_; }
+  [[nodiscard]] sat::CnfEncoder& encoder() noexcept { return *encoder_; }
   [[nodiscard]] const SweepResult& totals() const noexcept { return totals_; }
 
   /// The attached proof certifier; nullptr unless options.certify is set.
@@ -172,11 +200,14 @@ class Sweeper {
 
   const net::Network& network_;
   SweepOptions options_;
-  sat::Solver solver_;
+  /// Proven merges, indexed by node: kNullNode, or the lower-id node of a
+  /// proven pair. Outlives every solver; each encoder reads it.
+  std::vector<net::NodeId> substitutions_;
+  std::unique_ptr<sat::Solver> solver_;
   // The certifier mirrors every clause the solver sees, so it must be
   // attached before the encoder (or anything else) can add clauses.
   std::unique_ptr<check::Certifier> certifier_;
-  sat::CnfEncoder encoder_;
+  std::unique_ptr<sat::CnfEncoder> encoder_;
   SweepResult totals_;  ///< Accumulated across run() and check_pair() calls.
 };
 

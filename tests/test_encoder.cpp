@@ -50,6 +50,48 @@ TEST(Encoder, PoSharesDriverVariable) {
   EXPECT_EQ(po_var, encoder.var_of(a));
 }
 
+TEST(Encoder, SubstitutedNodeTakesItsSubstitutesVariable) {
+  // g2 = a | b is known equal to g1 = b | a (a substitution, as a sweeper
+  // records after proving the pair). Encoding g2's fanout must load g1's
+  // cone in g2's place and leave g2's own cone out.
+  net::Network network;
+  const net::NodeId a = network.add_pi();
+  const net::NodeId b = network.add_pi();
+  const net::NodeId c = network.add_pi();
+  const std::array<net::NodeId, 2> fba{b, a};
+  const net::NodeId g1 = network.add_lut(fba, tt::TruthTable::or_gate(2));
+  const std::array<net::NodeId, 2> fab{a, b};
+  const net::NodeId g2 = network.add_lut(fab, tt::TruthTable::or_gate(2));
+  const std::array<net::NodeId, 2> fg2c{g2, c};
+  const net::NodeId top = network.add_lut(fg2c, tt::TruthTable::and_gate(2));
+  const net::NodeId lone = network.add_lut(fab, tt::TruthTable::xor_gate(2));
+  network.add_po(top);
+  network.add_po(lone);
+
+  std::vector<net::NodeId> substitutions(network.num_nodes(), net::kNullNode);
+  substitutions[g2] = g1;
+  Solver solver;
+  CnfEncoder encoder(network, solver, substitutions);
+  const Var top_var = encoder.ensure_encoded(top);
+  EXPECT_TRUE(encoder.is_encoded(g1));
+  EXPECT_EQ(encoder.var_of(g2), encoder.var_of(g1));
+  // 5 variables: a, b, c, g1 (shared with g2) and top.
+  EXPECT_EQ(solver.num_vars(), 5u);
+  // The substituted encoding still computes top = (a | b) & c.
+  EXPECT_EQ(solver.solve({pos(top_var), neg(encoder.var_of(c))}),
+            Result::kUnsat);
+  EXPECT_EQ(solver.solve({pos(top_var), neg(encoder.var_of(a)),
+                          neg(encoder.var_of(b))}),
+            Result::kUnsat);
+  EXPECT_EQ(solver.solve({pos(top_var)}), Result::kSat);
+
+  // An entry added after a node is encoded changes nothing for it.
+  const Var lone_var = encoder.ensure_encoded(lone);
+  substitutions[lone] = g1;
+  EXPECT_EQ(encoder.ensure_encoded(lone), lone_var);
+  EXPECT_NE(encoder.var_of(lone), encoder.var_of(g1));
+}
+
 TEST(Encoder, ConstantNodesArePinned) {
   net::Network network;
   const net::NodeId c1 = network.add_constant(true);

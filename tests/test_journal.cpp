@@ -505,6 +505,10 @@ TEST(JournalReportTest, AggregatesSampleSequence) {
   EXPECT_NE(out.str().find("pattern effectiveness"), std::string::npos);
   EXPECT_NE(out.str().find("SAT hardness"), std::string::npos);
   EXPECT_NE(out.str().find("<html"), std::string::npos);
+  // The per-call variable delta is named for what it counts: variables
+  // newly encoded by the call, not the size of its cone.
+  EXPECT_NE(out.str().find("new-vars"), std::string::npos);
+  EXPECT_EQ(out.str().find("cone vars"), std::string::npos);
 }
 
 #ifndef SIMGEN_NO_TELEMETRY
@@ -660,6 +664,75 @@ TEST(JournalIntegration, CertifiedCecTotalsMatchRegistry) {
   EXPECT_GT(
       report.phases[static_cast<std::size_t>(PhaseId::kSweep)].enters, 0u);
   EXPECT_FALSE(report.folded.empty());
+}
+
+/// A sweeper past its rebuild period, with DRAT certification: every
+/// per-call journal delta must come from the solver that answered the
+/// call, so journal totals still equal the registry counters, which
+/// every solver instance feeds. The sweeper's own SAT rollups must span
+/// every solver too.
+TEST(JournalIntegration, RebuiltSolverTotalsMatchRegistry) {
+  benchgen::CircuitSpec spec;
+  spec.name = "journal_rebuild";
+  spec.num_pis = 10;
+  spec.num_pos = 5;
+  spec.num_gates = 150;
+  const aig::Aig graph = benchgen::generate_circuit(spec);
+  const sweep::Miter miter =
+      sweep::make_miter(mapping::map_to_luts(graph), aig::to_network(graph));
+  sim::Simulator simulator(miter.network);
+  sim::EquivClasses classes = sim::EquivClasses::over_luts(miter.network);
+  sim::RandomSimOptions random_options;
+  random_options.max_rounds = 1;
+  sim::run_random_simulation(simulator, classes, random_options);
+  std::vector<std::pair<net::NodeId, net::NodeId>> pairs;
+  for (sim::ClassId c{0}; c < classes.num_classes(); ++c) {
+    const auto members = classes.class_members(c);
+    for (std::size_t i = 1; i < members.size(); ++i)
+      pairs.emplace_back(members[0], members[i]);
+  }
+  ASSERT_FALSE(pairs.empty());
+
+  sweep::SweepOptions options;
+  options.certify = true;
+  sweep::Sweeper sweeper(miter.network, options);
+  const std::string path = temp_path("rebuild.jrnl");
+  const obs::TelemetrySnapshot before = obs::capture_snapshot();
+  ASSERT_TRUE(obs::Journal::instance().open(path));
+  // Cycle through the pairs past two automatic rebuilds (every 1000
+  // calls) and one forced one.
+  for (std::size_t call = 0; call < 2100; ++call) {
+    if (call == 1500) sweeper.rebuild_solver();
+    const auto& [a, b] = pairs[call % pairs.size()];
+    (void)sweeper.check_pair(a, b);
+  }
+  obs::Journal::instance().close();
+  const obs::TelemetrySnapshot delta =
+      obs::diff_snapshots(before, obs::capture_snapshot());
+
+  std::vector<JournalEvent> events;
+  std::string error;
+  ASSERT_TRUE(obs::read_journal_file(path, events, &error)) << error;
+  ASSERT_TRUE(obs::check_journal(events, &error)) << error;
+  const obs::JournalReport report = obs::build_report(events);
+
+  const sweep::SweepResult& totals = sweeper.totals();
+  EXPECT_EQ(report.sat_calls, 2100u);
+  EXPECT_EQ(report.sat_calls, delta.counter_value("sat.solve_calls"));
+  EXPECT_EQ(report.conflicts, delta.counter_value("sat.conflicts"));
+  EXPECT_EQ(report.decisions, delta.counter_value("sat.decisions"));
+  EXPECT_EQ(report.propagations, delta.counter_value("sat.propagations"));
+  EXPECT_EQ(report.learned, delta.counter_value("sat.learned_clauses"));
+  EXPECT_EQ(report.solver_restarts, delta.counter_value("sat.restarts"));
+  EXPECT_EQ(report.class_merged, delta.counter_value("sweep.proven"));
+  EXPECT_EQ(report.sat_sat, delta.counter_value("sweep.disproven"));
+  EXPECT_EQ(report.certified_ok, delta.counter_value("sweep.certified_unsat"));
+  EXPECT_EQ(report.certified_ok, totals.proven_equivalent);
+  EXPECT_EQ(report.certified_fail, 0u);
+  EXPECT_EQ(totals.sat_conflicts, delta.counter_value("sat.conflicts"));
+  EXPECT_EQ(totals.sat_propagations, delta.counter_value("sat.propagations"));
+  EXPECT_EQ(totals.sat_restarts, delta.counter_value("sat.restarts"));
+  EXPECT_EQ(totals.inprocess_runs, delta.counter_value("sat.inprocess.runs"));
 }
 
 #if defined(__unix__)

@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 
 #include "aig/aig_to_network.hpp"
 #include "benchgen/generator.hpp"
+#include "benchgen/suite.hpp"
 #include "mapping/lut_mapper.hpp"
 #include "sim/random_sim.hpp"
 #include "simgen/guided_sim.hpp"
@@ -225,6 +227,80 @@ TEST(Sweeper, WitnessIsHistoryIndependent) {
   (void)warmed.last_model_vector(99);  // old code: this shifted the stream
   EXPECT_EQ(warmed.last_model_vector(), first)
       << "witness bytes depend on extraction history";
+}
+
+/// Sweeps \p network in Sweeper::run's schedule (shallowest candidate
+/// first), rebuilding the solver before every \p period-th call (0 =
+/// never). Every counterexample must split the pair it answers.
+SweepResult sweep_with_rebuilds(const net::Network& network,
+                                std::uint64_t period, bool certify) {
+  sim::Simulator simulator(network);
+  sim::EquivClasses classes = sim::EquivClasses::over_luts(network);
+  sim::RandomSimOptions random_options;
+  random_options.max_rounds = 1;
+  run_random_simulation(simulator, classes, random_options);
+
+  SweepOptions options;
+  options.certify = certify;
+  Sweeper sweeper(network, options);
+  std::uint64_t calls = 0;
+  while (!classes.fully_refined()) {
+    net::NodeId representative = net::kNullNode;
+    net::NodeId candidate = net::kNullNode;
+    for (sim::ClassId c{0}; c < classes.num_classes(); ++c) {
+      const auto members = classes.class_members(c);
+      if (members[1] < candidate) {
+        representative = members[0];
+        candidate = members[1];
+      }
+    }
+    if (period > 0 && calls > 0 && calls % period == 0)
+      sweeper.rebuild_solver();
+    ++calls;
+    if (sweeper.check_pair(representative, candidate) != sat::Result::kSat) {
+      classes.remove_node(candidate);
+      continue;
+    }
+    const std::vector<bool> witness = sweeper.last_model_vector(calls);
+    std::vector<sim::PatternWord> words(witness.begin(), witness.end());
+    simulator.simulate_word(words);
+    EXPECT_NE(simulator.value_bit(representative, 0),
+              simulator.value_bit(candidate, 0))
+        << "counterexample for (" << representative << ", " << candidate
+        << ") does not split it, period " << period;
+    classes.refine(simulator);
+  }
+  return sweeper.totals();
+}
+
+TEST(Sweeper, RebuiltSolversKeepEveryVerdict) {
+  // A rebuild drops learned clauses and encoded cones but carries the
+  // proven merges as encoder substitutions. Proofs therefore stay
+  // proofs, and with no conflict limit the proven set is fixed: each
+  // candidate is proven against the smallest member of its true class.
+  const benchgen::CircuitSpec* spec = benchgen::find_benchmark("alu4");
+  ASSERT_NE(spec, nullptr);
+  const aig::Aig graph = benchgen::generate_circuit(*spec);
+  const Miter miter =
+      make_miter(mapping::map_to_luts(graph), aig::to_network(graph));
+
+  for (const bool certify : {false, true}) {
+    SCOPED_TRACE(certify ? "certified" : "uncertified");
+    SweepResult reference = sweep_with_rebuilds(miter.network, 0, certify);
+    std::sort(reference.proven_pairs.begin(), reference.proven_pairs.end());
+    ASSERT_GT(reference.proven_equivalent, 50u);
+    ASSERT_GT(reference.disproven, 0u);
+    for (const std::uint64_t period : {1u, 7u, 50u}) {
+      SCOPED_TRACE("rebuild every " + std::to_string(period) + " calls");
+      SweepResult rebuilt = sweep_with_rebuilds(miter.network, period, certify);
+      std::sort(rebuilt.proven_pairs.begin(), rebuilt.proven_pairs.end());
+      EXPECT_EQ(rebuilt.proven_pairs, reference.proven_pairs);
+      EXPECT_EQ(rebuilt.unresolved, reference.unresolved);
+      // check_pair throws on an UNSAT that fails DRAT certification.
+      EXPECT_EQ(rebuilt.certified_unsat,
+                certify ? rebuilt.proven_equivalent : 0u);
+    }
+  }
 }
 
 TEST(Sweeper, EveryStrategyArmIsDeterministicForAFixedSeed) {
