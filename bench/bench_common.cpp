@@ -1,19 +1,21 @@
 #include "bench_common.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <system_error>
+#include <thread>
+#include <vector>
 
-#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/pool_obs.hpp"
 #include "obs/resource.hpp"
 #include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 namespace simgen::bench {
 
@@ -68,27 +70,41 @@ void set_inprocess(bool enabled) { inprocess_storage() = enabled; }
 
 bool inprocess() { return inprocess_storage(); }
 
+unsigned resolve_num_threads(unsigned requested) noexcept {
+  if (requested != 0) return requested;
+  const unsigned hardware = std::thread::hardware_concurrency();
+  return hardware == 0 ? 1 : hardware;
+}
+
 void for_each_cell(std::size_t count,
                    const std::function<void(std::size_t)>& fn) {
-  const unsigned threads = util::resolve_num_threads(num_threads());
-  if (threads <= 1 || count <= 1) {
+  const std::size_t threads =
+      std::min<std::size_t>(resolve_num_threads(num_threads()), count);
+  if (threads <= 1) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
-  util::ThreadPool pool(threads);
-  const obs::PoolProfileScope pool_scope(pool);
-  pool.run_tasks(count, [&](std::size_t index, unsigned worker) {
-    util::Stopwatch cell_watch;
-    if (obs::journal_enabled()) cell_watch.start();
-    fn(index);
-    if (obs::journal_enabled()) {
-      // Code 2 = bench cell; the payload is the cell index again (cells
-      // have no node identity).
-      obs::journal_emit(obs::EventKind::kTaskRun, 2, index, worker,
-                        /*round=*/0, index, 0, 0,
-                        obs::saturate_us(cell_watch.seconds()));
+  // Each thread claims the next unclaimed index until none is left. A
+  // failing cell records its exception in its own slot and the loop goes
+  // on, so every other cell still runs and the rethrown failure does not
+  // depend on the schedule.
+  std::atomic<std::size_t> next{0};
+  std::vector<std::exception_ptr> errors(count);
+  const auto claim_cells = [&] {
+    for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
+      try {
+        fn(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
     }
-  });
+  };
+  std::vector<std::thread> workers;
+  workers.reserve(threads);
+  for (std::size_t t = 0; t < threads; ++t) workers.emplace_back(claim_cells);
+  for (std::thread& worker : workers) worker.join();
+  for (const std::exception_ptr& error : errors)
+    if (error) std::rethrow_exception(error);
 }
 
 void set_bench_json_dir(std::string dir) { json_dir_storage() = std::move(dir); }
@@ -124,11 +140,7 @@ bool write_flow_metrics_json(const FlowMetrics& metrics) {
       << "  \"unresolved\": " << metrics.unresolved << ",\n"
       << "  \"num_threads\": " << metrics.num_threads << ",\n"
       << "  \"wall_seconds\": " << metrics.wall_seconds << ",\n"
-      << "  \"peak_rss_mb\": " << metrics.peak_rss_mb << ",\n"
-      << "  \"pool_tasks\": " << metrics.pool_tasks << ",\n"
-      << "  \"pool_steal_successes\": " << metrics.pool_steal_successes
-      << ",\n"
-      << "  \"pool_utilization\": " << metrics.pool_utilization << "\n"
+      << "  \"peak_rss_mb\": " << metrics.peak_rss_mb << "\n"
       << "}\n";
   return out.good();
 }
@@ -233,14 +245,10 @@ FlowMetrics run_strategy_flow(const net::Network& network, core::Strategy strate
   // Kernel-only simulation wall time accumulated across every phase that
   // touched this flow's simulator (random, guided, cex resimulation).
   metrics.sim_wall_seconds = simulator.kernel_seconds();
-  // Resource/scheduler context at flow end. All of these read 0 under
-  // SIMGEN_NO_TELEMETRY (dummy instruments), keeping the JSON schema
-  // identical in both builds.
+  // Peak RSS at flow end; reads 0 under SIMGEN_NO_TELEMETRY, keeping the
+  // JSON schema identical in both builds.
   metrics.peak_rss_mb =
       static_cast<double>(obs::sample_resources().peak_rss_kb) / 1024.0;
-  metrics.pool_tasks = obs::counter("pool.tasks").value();
-  metrics.pool_steal_successes = obs::counter("pool.steal_successes").value();
-  metrics.pool_utilization = obs::gauge_value("pool.utilization");
   // A run asked for BENCH json must not succeed without it: the
   // exception ends the program with a non-zero status.
   if (!write_flow_metrics_json(metrics))

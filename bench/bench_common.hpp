@@ -58,12 +58,6 @@ struct FlowMetrics {
   double wall_seconds = 0.0;
   /// Process peak RSS when the flow finished (0 without telemetry).
   double peak_rss_mb = 0.0;
-  /// Process-cumulative pool.* rollups at flow end (0 without telemetry
-  /// or when no profiled pool ran). Cumulative — not per-flow deltas —
-  /// so trend tooling diffs consecutive runs, not consecutive cells.
-  std::uint64_t pool_tasks = 0;
-  std::uint64_t pool_steal_successes = 0;
-  double pool_utilization = 0.0;  ///< Last exported busy/(busy+idle).
 };
 
 struct FlowConfig {
@@ -98,6 +92,10 @@ void set_progress_interval(double seconds);
 void set_num_threads(unsigned num_threads);
 [[nodiscard]] unsigned num_threads();
 
+/// Resolves a --threads style request: 0 means "auto" (the hardware
+/// concurrency, at least 1), anything else is taken literally.
+[[nodiscard]] unsigned resolve_num_threads(unsigned requested) noexcept;
+
 /// Solver inprocessing toggle for the bench drivers (same storage pattern
 /// as the progress interval); set false by TelemetryCli's --no-inprocess.
 /// Forwarded into SweepOptions::inprocess by run_strategy_flow, so an
@@ -105,12 +103,14 @@ void set_num_threads(unsigned num_threads);
 void set_inprocess(bool enabled);
 [[nodiscard]] bool inprocess();
 
-/// Runs fn(0), ..., fn(count - 1), sharding the calls across the
-/// --threads worker pool when more than one thread is requested. Cells
-/// must be independent (each is typically one benchmark's whole flow);
-/// the caller collects results by index and prints them afterwards, so
-/// output order never depends on the schedule. With one thread this is
-/// a plain sequential loop.
+/// Runs fn(0), ..., fn(count - 1), sharding the calls across
+/// min(--threads, count) threads that each claim the next unrun index.
+/// Cells must be independent (each is typically one benchmark's whole
+/// flow); the caller collects results by index and prints them
+/// afterwards, so output order never depends on the schedule. If cells
+/// throw, every other cell still runs and the exception of the lowest
+/// failing index is rethrown once all threads joined. With one thread
+/// this is a plain sequential loop that stops at the first failure.
 void for_each_cell(std::size_t count,
                    const std::function<void(std::size_t)>& fn);
 

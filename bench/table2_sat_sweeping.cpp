@@ -6,7 +6,7 @@
 /// Flow per benchmark and arm: 6-LUT map, 1 random round, 20 guided
 /// iterations, then SAT sweeping to fixpoint. SAT calls and SAT time
 /// count exactly the solver work of the sweeping phase. With --threads N
-/// the per-benchmark cells run on N workers (results and row order are
+/// the per-benchmark cells run on N threads (results and row order are
 /// identical to the sequential run; see bench_common.hpp). Positional
 /// arguments restrict the run to the named benchmarks.
 #include <cstdio>
@@ -14,7 +14,6 @@
 
 #include "bench_common.hpp"
 #include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace simgen;
 
@@ -94,7 +93,7 @@ int main(int argc, char** argv) {
               total_time_sgen);
   std::printf("SimGen <= RevS SAT calls on %zu / %zu benchmarks\n",
               sgen_fewer_calls, rows);
-  const unsigned workers = util::resolve_num_threads(bench::num_threads());
+  const unsigned workers = bench::resolve_num_threads(bench::num_threads());
   std::printf("wall time       : %.2f s (%u worker thread%s)\n", wall.seconds(),
               workers, workers == 1 ? "" : "s");
   std::printf("\nPaper reference: SimGen reduces SAT calls on the large\n");

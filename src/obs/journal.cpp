@@ -90,8 +90,6 @@ const char* kind_name(EventKind kind) noexcept {
     case EventKind::kCertified: return "certified";
     case EventKind::kHeartbeat: return "heartbeat";
     case EventKind::kWatchdog: return "watchdog";
-    case EventKind::kTaskRun: return "task_run";
-    case EventKind::kWorkerStats: return "worker_stats";
     case EventKind::kResourceSample: return "resource_sample";
     case EventKind::kSolverRestart: return "solver_restart";
     case EventKind::kSolverReduce: return "solver_reduce";

@@ -67,18 +67,9 @@ enum class EventKind : std::uint8_t {
                       ///< v1=proved, v2=disproved, v3=SAT calls,
                       ///< dur_us=elapsed in sweep (saturating).
   kWatchdog = 12,     ///< code=1 signal / 2 timeout, a=signal number.
-  kTaskRun = 13,      ///< One pool task: a=task index within the batch,
-                      ///< b=worker index, code=task kind (2 bench cell;
-                      ///< 0 sweep pair and 1 output proof appear only in
-                      ///< journals from the removed parallel sweeper and
-                      ///< still replay), v0=round/batch sequence,
-                      ///< v1=payload id (the cell index), dur_us=task
-                      ///< wall time. The lane timeline in sweep_inspect
-                      ///< is built from these.
-  kWorkerStats = 14,  ///< Per-worker scheduler rollup at pool teardown:
-                      ///< a=worker index, b=tasks run, v0=steal attempts,
-                      ///< v1=steal successes, v2=busy us, v3=idle us,
-                      ///< dur_us=lock-contention blocks (saturating).
+  // 13 and 14 are reserved: they held the per-task and per-worker events
+  // of a since-removed thread-pool profiler. Binary journals that carry
+  // them still read and check; the report ignores them.
   kResourceSample = 15,  ///< a=current RSS kB, b=peak RSS kB,
                          ///< v0=allocation count, v1=allocated bytes
                          ///< (both 0 unless SIMGEN_ALLOC_STATS is set).

@@ -212,13 +212,12 @@ bool Inprocessor::scc_substitute() {
       if (s_.proof_) s_.proof_->on_lemma(scratch_);
       canonical.insert(s_.install_clause(scratch_, /*learnt=*/false));
 
-      // pos(var) maps to rep_of_pos; record the model rule for
-      // extend_model: model[var] := model value of rep_of_pos.
+      // pos(var) maps to rep_of_pos. The model needs no rule for var:
+      // the canonical binaries assign it from rep at every kSat.
       const Lit rep_of_pos = lit.negated() ? ~rep : rep;
       lit_map[pos(var).code()] = rep_of_pos.code();
       lit_map[neg(var).code()] = (~rep_of_pos).code();
       s_.substituted_[var] = true;
-      s_.substitutions_.push_back(Solver::Substitution{var, rep_of_pos});
       ++tally_.substituted_vars;
       any_substituted = true;
     }

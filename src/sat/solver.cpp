@@ -547,13 +547,6 @@ bool Solver::maybe_inprocess() {
   return ok_;
 }
 
-void Solver::extend_model() {
-  // Reverse order: a representative substituted by a later run gets its
-  // value before the earlier substitutions that copy from it.
-  for (auto it = substitutions_.rbegin(); it != substitutions_.rend(); ++it)
-    model_[it->var] = model_[it->rep.var()] != it->rep.negated();
-}
-
 Result Solver::search() {
   std::uint64_t restart_count = 0;
   std::uint64_t conflicts_until_restart = kRestartBase * luby(restart_count);
@@ -692,25 +685,6 @@ Result Solver::solve(std::span<const Lit> assumptions) {
 #ifndef SIMGEN_NO_TELEMETRY
   emit_introspection_solve_stats();
 #endif
-  if (result == Result::kSat) {
-    if (substitutions_.empty()) {
-      // Nothing substituted yet: serve the model lazily from
-      // assigns_/phase_ (see model_value) and skip the O(num_vars)
-      // materialization. SAT sweeping leaves this path at its first
-      // inprocessing run: each proven merge adds its equality as two
-      // binaries, SCC substitution merges those encoder variables, and
-      // from then on every SAT model is materialized and extended.
-      model_lazy_ = true;
-    } else {
-      model_lazy_ = false;
-      model_.assign(num_vars(), false);
-      for (Var var{0}; var < num_vars(); ++var)
-        model_[var] = assigns_[var] == LBool::kUndef
-                          ? phase_[var]
-                          : assigns_[var] == LBool::kTrue;
-      extend_model();
-    }
-  }
   // Keep the established assumption levels on the trail for the next
   // solve; everything deeper (search decisions) is undone.
   const unsigned keep = std::min(

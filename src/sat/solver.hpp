@@ -102,20 +102,16 @@ class Solver {
 
   /// Model access after kSat. Valid until the next solve/add_clause.
   ///
-  /// When no variable has been substituted yet, the model is read
-  /// straight off the solver state instead of being materialized per
-  /// call: phase saving records each variable's final value as it leaves
-  /// the trail, so `assigns_` (still-assigned) plus `phase_` (backtracked
-  /// or never decided) together ARE the satisfying assignment. Once SCC
-  /// substitution has fired (SAT sweeping gets there at its first
-  /// inprocessing run, by merging the variables of proven-equal nodes),
-  /// every kSat materializes `model_` and replays the substitution list
-  /// (see extend_model).
+  /// The model is read straight off the solver state: phase saving
+  /// records each variable's final value as it leaves the trail, so
+  /// `assigns_` (still-assigned) plus `phase_` (backtracked or never
+  /// decided) together ARE the satisfying assignment. SCC-substituted
+  /// variables need no replay: their canonical binaries stay in the
+  /// clause set, so propagation assigns each one from its representative
+  /// before any kSat verdict.
   [[nodiscard]] bool model_value(Var var) const {
-    if (model_lazy_)
-      return assigns_[var] == LBool::kUndef ? phase_[var]
-                                            : assigns_[var] == LBool::kTrue;
-    return model_[var];
+    return assigns_[var] == LBool::kUndef ? phase_[var]
+                                          : assigns_[var] == LBool::kTrue;
   }
   [[nodiscard]] bool model_value(Lit lit) const {
     return model_value(lit.var()) != lit.negated();
@@ -183,14 +179,6 @@ class Solver {
 
   enum class LBool : std::int8_t { kFalse = 0, kTrue = 1, kUndef = 2 };
 
-  /// One SCC substitution: \p var takes the model value of \p rep (a
-  /// literal over a variable that was not substituted at the time); see
-  /// Solver::extend_model.
-  struct Substitution {
-    Var var;
-    Lit rep;
-  };
-
   [[nodiscard]] LBool value(Lit lit) const noexcept {
     const LBool v = assigns_[lit.var()];
     if (v == LBool::kUndef) return LBool::kUndef;
@@ -231,9 +219,6 @@ class Solver {
   /// Runs the inprocessing passes when due (level 0, interval elapsed).
   /// Returns false when they refute the clause set outright.
   bool maybe_inprocess();
-  /// Copies each substituted variable's representative value into
-  /// model_, newest substitution first.
-  void extend_model();
 
   // VSIDS heap operations.
   void bump_var(Var var);
@@ -294,15 +279,10 @@ class Solver {
   std::uint64_t conflicts_this_solve_ = 0;
   std::size_t max_learnt_ = 0;
   std::vector<Lit> assumptions_;
-  std::vector<bool> model_;
-  /// True when the last kSat model lives in assigns_/phase_ (see
-  /// model_value) and model_ was never materialized for it.
-  bool model_lazy_ = false;
 
   // Inprocessing state.
   InprocessConfig inprocess_config_;
   std::uint64_t conflicts_since_inprocess_ = 0;
-  std::vector<Substitution> substitutions_;
 
   // Memoized assumption prefix: the number of leading decision levels
   // still on the trail from the previous solve whose decisions are that

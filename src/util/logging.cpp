@@ -58,11 +58,10 @@ void format_timestamp(char (&buffer)[16]) {
 }
 
 /// Small per-thread ordinal for the line prefix: assigned lazily on the
-/// thread's first log line, so the main thread is usually t1 and worker
+/// thread's first log line, so the main thread is usually t1 and other
 /// ordinals stay short regardless of the OS thread-id width.
 std::atomic<unsigned> g_next_thread_ordinal{0};
 thread_local unsigned t_log_ordinal = 0;
-thread_local int t_worker_index = -1;
 
 unsigned thread_log_ordinal() noexcept {
   if (t_log_ordinal == 0)
@@ -101,24 +100,13 @@ std::optional<LogLevel> parse_log_level(std::string_view text) noexcept {
   return std::nullopt;
 }
 
-void set_thread_worker_index(int index) noexcept {
-  t_worker_index = index < 0 ? -1 : index;
-}
-
-int thread_worker_index() noexcept { return t_worker_index; }
-
 void log_line(LogLevel level, std::string_view message) {
   if (level < log_level()) return;
   char timestamp[16];
   format_timestamp(timestamp);
-  char thread_tag[24];
-  if (t_worker_index >= 0)
-    std::snprintf(thread_tag, sizeof thread_tag, "t%u/w%d",
-                  thread_log_ordinal(), t_worker_index);
-  else
-    std::snprintf(thread_tag, sizeof thread_tag, "t%u", thread_log_ordinal());
-  std::fprintf(stderr, "[simgen %s %s %s] %.*s\n", timestamp, level_tag(level),
-               thread_tag, static_cast<int>(message.size()), message.data());
+  std::fprintf(stderr, "[simgen %s %s t%u] %.*s\n", timestamp, level_tag(level),
+               thread_log_ordinal(), static_cast<int>(message.size()),
+               message.data());
 }
 
 // Each entry point tests the threshold before va_start so a suppressed

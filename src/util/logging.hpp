@@ -26,19 +26,11 @@ void set_log_level(LogLevel level) noexcept;
 
 /// Emits one line to stderr if \p level passes the threshold. Lines carry
 /// a wall-clock timestamp, severity tag, and thread tag — a small ordinal
-/// assigned on the thread's first log line, plus the pool worker index
-/// when the thread registered one (see set_thread_worker_index):
-///   [simgen 12:34:56.789 info  t1] message        (plain thread)
-///   [simgen 12:34:56.789 info  t3/w2] message     (pool worker 2)
-/// Multithreaded sweep logs interleave; the tag is what makes each line
-/// attributable to a worker lane.
+/// assigned on the thread's first log line:
+///   [simgen 12:34:56.789 info  t1] message
+/// Lines from bench cells sharded across --threads interleave; the tag is
+/// what makes each line attributable to its thread.
 void log_line(LogLevel level, std::string_view message);
-
-/// Registers the calling thread as pool worker \p index (< 0 clears the
-/// registration). Called by util::ThreadPool for its worker threads so
-/// every log line from inside a pool task carries the worker index.
-void set_thread_worker_index(int index) noexcept;
-[[nodiscard]] int thread_worker_index() noexcept;  ///< -1 when unset.
 
 /// printf-style logging at a given level.
 [[gnu::format(printf, 2, 3)]]

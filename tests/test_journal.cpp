@@ -133,36 +133,26 @@ TEST(JournalFile, JsonlRoundTripIsExact) {
     EXPECT_EQ(loaded[i], events[i]) << "event " << i;
 }
 
-TEST(JournalFile, SchedulerKindsRoundTripThroughJsonl) {
-  // The PR-7 scheduler/resource kinds must survive the text format: the
-  // JSONL writer prints kind_name() and the reader maps the string back,
-  // so an exact round trip proves "task_run", "worker_stats", and
-  // "resource_sample" are all registered on both sides.
+TEST(JournalFile, ResourceSampleRoundTripsThroughJsonl) {
+  // The resource kind must survive the text format: the JSONL writer
+  // prints kind_name() and the reader maps the string back, so an exact
+  // round trip proves "resource_sample" is registered on both sides.
   std::vector<JournalEvent> events;
-  const auto push = [&](EventKind kind, std::uint8_t code, std::uint64_t a,
-                        std::uint64_t b, std::uint64_t v0, std::uint64_t v1,
-                        std::uint32_t dur_us) {
+  const auto push = [&](std::uint64_t rss_kb, std::uint64_t peak_kb,
+                        std::uint64_t allocs, std::uint64_t bytes) {
     JournalEvent event;
     event.t_ns = (events.size() + 1) * 500;
-    event.kind = kind;
-    event.code = code;
-    event.a = a;
-    event.b = b;
-    event.v0 = v0;
-    event.v1 = v1;
-    event.dur_us = dur_us;
+    event.kind = EventKind::kResourceSample;
+    event.a = rss_kb;
+    event.b = peak_kb;
+    event.v0 = allocs;
+    event.v1 = bytes;
     events.push_back(event);
   };
-  push(EventKind::kTaskRun, 0, /*task=*/3, /*worker=*/1, /*round=*/2,
-       /*payload=*/77, 1200);
-  push(EventKind::kTaskRun, 1, 0, 0, 0, 5, 900);
-  push(EventKind::kTaskRun, 2, 4, 2, 0, 4, 15000);
-  push(EventKind::kWorkerStats, 0, /*worker=*/1, /*tasks=*/12,
-       /*steal_attempts=*/9, /*steal_successes=*/4, /*lock blocks=*/2);
-  push(EventKind::kResourceSample, 0, /*rss kb=*/81234, /*peak kb=*/90111,
-       /*allocs=*/0, /*bytes=*/0, 0);
+  push(/*rss kb=*/81234, /*peak kb=*/90111, /*allocs=*/0, /*bytes=*/0);
+  push(82000, 90111, /*allocs=*/1500, /*bytes=*/1u << 20);
 
-  const std::string path = temp_path("scheduler_kinds.jsonl");
+  const std::string path = temp_path("resource_sample.jsonl");
   ASSERT_TRUE(obs::write_journal_file(path, events));
   std::vector<JournalEvent> loaded;
   std::string error;
@@ -170,14 +160,12 @@ TEST(JournalFile, SchedulerKindsRoundTripThroughJsonl) {
   ASSERT_EQ(loaded.size(), events.size());
   for (std::size_t i = 0; i < events.size(); ++i)
     EXPECT_EQ(loaded[i], events[i]) << "event " << i;
-  EXPECT_STREQ(obs::kind_name(EventKind::kTaskRun), "task_run");
-  EXPECT_STREQ(obs::kind_name(EventKind::kWorkerStats), "worker_stats");
   EXPECT_STREQ(obs::kind_name(EventKind::kResourceSample), "resource_sample");
 }
 
 TEST(JournalFile, SolverIntrospectionKindsRoundTripThroughJsonl) {
   // The format-2 solver-introspection kinds must survive the text format
-  // exactly like the scheduler kinds: kind_name() on the way out, the
+  // exactly like the resource kind: kind_name() on the way out, the
   // string registry on the way back in.
   std::vector<JournalEvent> events;
   const auto push = [&](EventKind kind, std::uint8_t code, std::uint64_t a,
